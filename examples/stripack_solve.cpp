@@ -250,7 +250,8 @@ int main(int argc, char** argv) {
                     << result.warm_phase1_iterations << "), Farkas rounds "
                     << result.farkas_rounds << "\n"
                     << "bnp: pricing DFS expansions "
-                    << result.pricing_dfs_expansions << ", cache probes "
+                    << result.pricing_dfs_expansions << ", row tests "
+                    << result.pricing_row_tests << ", cache probes "
                     << result.pricing_cache_probes << " (seeded "
                     << result.pricing_cache_hits << ", exact-memo hits "
                     << result.pricing_memo_hits << ", patterns "

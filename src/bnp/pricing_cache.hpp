@@ -2,7 +2,7 @@
 //
 // The exact pricing subproblem of the configuration LP is a bounded
 // knapsack per phase, solved by a DFS over the width classes
-// (`best_config_for_phase` in release/config_lp.cpp). At every
+// (`best_config_for_phase` in release/pricing_dfs.hpp). At every
 // branch-and-bound node the duals change but the *combinatorial space*
 // does not: the same few dozen to few thousand patterns keep winning. The
 // cache interns every pattern (counts vector) the search has ever priced
@@ -20,6 +20,17 @@
 // branch-row set a node presents at probe time — so re-probing a pattern
 // under a different node's active rows costs bit lookups, not predicate
 // re-evaluation.
+//
+// Inside the DFS itself the bonuses are incremental too (see
+// release/pricing_dfs.hpp): rows with an exactly-zero multiplier are
+// dropped once per search, PairTogether rows are tested once, when the
+// larger of their widths is assigned, and a per-depth bitmask carries
+// the matches, summed in row order so every value is bitwise the
+// per-node test's. Pattern rows or more than 64 live rows fall back to
+// that per-node test. The exact-input memo below still keys on every
+// applied row, parked zero-multiplier rows included; dropping them from
+// the key would merge more searches and so change the DFS expansion
+// counts, and is left as a separate step.
 //
 // The cache is deliberately self-contained (patterns + predicates + match
 // bits); `release::ConfigLpSolver` owns one per solver instance and

@@ -333,6 +333,7 @@ void accumulate(BnpResult& result, const release::FractionalSolution& s) {
 
 void accumulate(BnpResult& result, const release::PricingStats& s) {
   result.pricing_dfs_expansions += s.dfs_expansions;
+  result.pricing_row_tests += s.row_tests;
   result.pricing_cache_probes += s.cache_probes;
   result.pricing_cache_hits += s.cache_hits;
   result.pricing_memo_hits += s.exact_memo_hits;

@@ -209,6 +209,7 @@ struct BnpResult {
   std::size_t nogood_store_size = 0;    // store size at the end
   // Memoized-pricing counters, summed over the master and every clone.
   std::int64_t pricing_dfs_expansions = 0;
+  std::int64_t pricing_row_tests = 0;  // branch-row predicate tests
   std::int64_t pricing_cache_probes = 0;
   std::int64_t pricing_cache_hits = 0;
   std::int64_t pricing_memo_hits = 0;

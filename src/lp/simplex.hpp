@@ -103,9 +103,11 @@ struct SimplexOptions {
   /// steepest-edge full scan): 0 = hardware concurrency, > 1 = that many
   /// threads, 1 or negative = serial. Deterministic for any value — work
   /// is split into fixed chunks and merged in chunk order, reproducing
-  /// the serial scan's tie-breaks. Threads spawn per scan (no pool yet),
-  /// so this is for *wide* models: scans under ~8k columns run serial no
-  /// matter the setting.
+  /// the serial scan's tie-breaks. Scans run on the shared
+  /// `util::ThreadPool`, whose per-scan wake-up still costs a few
+  /// microseconds, so this is for *wide* models: scans under 4096
+  /// columns (`kParallelScanMin` in simplex.cpp) run serial no matter
+  /// the setting.
   int pricing_threads = 1;
   /// Warm-start basis (see slack_code); empty = cold two-phase start. A
   /// singular or primal-infeasible basis silently falls back to cold.

@@ -12,6 +12,7 @@
 #include "lp/colgen.hpp"
 #include "lp/portfolio.hpp"
 #include "lp/simplex.hpp"
+#include "release/pricing_dfs.hpp"
 #include "util/assert.hpp"
 #include "util/float_eq.hpp"
 
@@ -200,236 +201,6 @@ double column_cost(const RowLayout& layout, std::size_t phase) {
   return phase + 1 == layout.num_phases ? 1.0 : 0.0;
 }
 
-// One branching row applying to the phase being priced, with the value a
-// matching configuration collects from it (and its model row index, the
-// pattern cache's key for memoized match bits).
-struct AppliedBranchRow {
-  const BranchPredicate* pred = nullptr;
-  double mult = 0.0;
-  int row = 0;
-};
-
-// Width-indexed DP bound for the pricing DFS (memoized-pricing mode).
-// When every width and the strip width sit on a common rational grid
-// (units of 1/denom), `suffix[i][c]` is the *exact* maximum raw value of
-// any configuration drawn from width classes i.. within c capacity units
-// — an unbounded-knapsack DP, O(W * cap_units) to fill. The DFS bounds a
-// subtree by current + suffix[index][units_left] + bonus_cap, which is
-// admissible (raw max dominates any achievable raw value; positive
-// branch-row bonuses top out at bonus_cap), and far tighter than the
-// fractional suffix-density bound — with a warm seed for the incumbent it
-// collapses the search to roughly the argmax path.
-struct DpBound {
-  int cap_units = 0;
-  std::vector<int> width_units;         // one per width class
-  std::vector<std::vector<double>> suffix;  // [W+1][cap_units+1]
-
-  [[nodiscard]] bool valid() const { return cap_units > 0; }
-};
-
-// Smallest denominator <= 4096 putting all widths and the strip width on
-// one integer grid (0 when none). Unit-capacity feasibility then agrees
-// with the DFS's epsilon-relaxed double checks: a config the DFS deems
-// feasible has total units <= cap_units * (1 + 1e-9), and integer totals
-// below cap_units + 1 are <= cap_units.
-int detect_width_grid(const ConfigLpProblem& problem) {
-  const auto on_grid = [](double v, int d) {
-    const double scaled = v * d;
-    return std::fabs(scaled - std::round(scaled)) <= 1e-7 &&
-           std::round(scaled) >= 0.0;
-  };
-  for (int d = 1; d <= 4096; ++d) {
-    if (!on_grid(problem.strip_width, d)) continue;
-    bool ok = true;
-    for (const double w : problem.widths) ok = ok && on_grid(w, d);
-    if (!ok) continue;
-    // Degenerate grids (a zero-unit width) would break the DP.
-    for (const double w : problem.widths) {
-      ok = ok && std::round(w * d) >= 1.0;
-    }
-    if (ok) return d;
-  }
-  return 0;
-}
-
-// Fills `dp` for the given per-class values (reusing its storage).
-void fill_dp_bound(const ConfigLpProblem& problem, int denom,
-                   const std::vector<double>& value, DpBound& dp) {
-  const std::size_t W = problem.widths.size();
-  dp.cap_units =
-      static_cast<int>(std::round(problem.strip_width * denom));
-  if (dp.width_units.size() != W) {
-    dp.width_units.resize(W);
-    for (std::size_t i = 0; i < W; ++i) {
-      dp.width_units[i] =
-          static_cast<int>(std::round(problem.widths[i] * denom));
-    }
-  }
-  const std::size_t cols = static_cast<std::size_t>(dp.cap_units) + 1;
-  dp.suffix.resize(W + 1);
-  for (auto& row : dp.suffix) row.assign(cols, 0.0);
-  for (std::size_t i = W; i-- > 0;) {
-    const std::vector<double>& below = dp.suffix[i + 1];
-    std::vector<double>& here = dp.suffix[i];
-    const int u = dp.width_units[i];
-    const double v = value[i];
-    for (std::size_t c = 0; c < cols; ++c) {
-      double best = below[c];
-      if (v > 0.0 && static_cast<int>(c) >= u) {
-        best = std::max(best, here[c - static_cast<std::size_t>(u)] + v);
-      }
-      here[c] = best;
-    }
-  }
-}
-
-// Branch-and-bound maximization over nonempty configurations of one phase:
-//   max  sum_i counts[i] * value[i] + sum_r mult_r * [pred_r matches]
-// The DFS bound adds every positive multiplier to the classic suffix
-// density bound (admissible: a configuration collects at most that), and
-// widths a positive-multiplier predicate needs are exempt from the
-// "skip non-positive values" pruning so pair/pattern bonuses stay
-// reachable. Returns the best configuration (empty when nothing beats
-// zero) and its adjusted value through `best_value_out`.
-//
-// `seed` (with its exact adjusted value `seed_value` > 0) warm-starts the
-// incumbent at seed_value - 2e-12: every subtree that cannot strictly
-// beat a known-achievable value is pruned immediately, while any pattern
-// of equal or better value still qualifies (the epsilon sits below the
-// 1e-12 improvement threshold), so the returned maximizer matches the
-// unseeded DFS's choice. If nothing improves on the seed, the exact seed
-// value is restored on output. `expansions` counts DFS recursion calls.
-Configuration best_config_for_phase(const ConfigLpProblem& problem,
-                                    const std::vector<double>& value,
-                                    std::span<const AppliedBranchRow> rows,
-                                    std::size_t phase,
-                                    double* best_value_out,
-                                    const Configuration* seed = nullptr,
-                                    double seed_value = 0.0,
-                                    std::int64_t* expansions = nullptr,
-                                    const DpBound* dp = nullptr) {
-  const auto& widths = problem.widths;
-  // Suffix best density for the fractional bound.
-  std::vector<double> suffix_density(widths.size() + 1, 0.0);
-  for (std::size_t i = widths.size(); i-- > 0;) {
-    suffix_density[i] =
-        std::max(suffix_density[i + 1], std::max(value[i], 0.0) / widths[i]);
-  }
-  double bonus_cap = 0.0;
-  std::vector<char> keep(widths.size(), 0);
-  // Pattern matching is *non-monotone*: a penalized (negative-multiplier)
-  // pattern can be escaped by ADDING an item, even one of non-positive
-  // value — so while such a row applies, the skip-non-positive pruning
-  // below must be disabled wholesale. Pair/total predicates are monotone
-  // in the counts, so dropping a non-positive-value item never hurts
-  // them; only widths a positive pair/pattern bonus needs are exempted.
-  bool penalized_pattern = false;
-  for (const AppliedBranchRow& r : rows) {
-    if (r.mult <= 0.0) {
-      if (r.mult < 0.0 &&
-          r.pred->kind == BranchPredicate::Kind::Pattern) {
-        penalized_pattern = true;
-      }
-      continue;
-    }
-    bonus_cap += r.mult;
-    switch (r.pred->kind) {
-      case BranchPredicate::Kind::PhaseTotal:
-        break;
-      case BranchPredicate::Kind::PairTogether:
-        keep[r.pred->width_a] = 1;
-        keep[r.pred->width_b] = 1;
-        break;
-      case BranchPredicate::Kind::Pattern:
-        for (std::size_t i = 0; i < widths.size(); ++i) {
-          if (r.pred->counts[i] > 0) keep[i] = 1;
-        }
-        break;
-    }
-  }
-  if (penalized_pattern) keep.assign(widths.size(), 1);
-  const auto adjusted = [&](const std::vector<int>& counts, double raw) {
-    double v = raw;
-    for (const AppliedBranchRow& r : rows) {
-      if (r.pred->matches(counts, phase)) v += r.mult;
-    }
-    return v;
-  };
-
-  Configuration best;
-  best.counts.assign(widths.size(), 0);
-  double best_value = 0.0;
-  bool improved_on_seed = false;
-  if (seed != nullptr && seed_value > 0.0) {
-    best = *seed;
-    best_value = seed_value - 2e-12;
-  }
-  std::vector<int> counts(widths.size(), 0);
-  int total_items = 0;
-
-  // With a DpBound (memoized-pricing mode on a rational width grid) the
-  // subtree bound is the exact raw suffix optimum at the remaining unit
-  // capacity; otherwise the classic fractional suffix-density bound. Both
-  // only ever skip subtrees that cannot *strictly* improve, so the
-  // returned maximizer is identical either way.
-  auto dfs = [&](auto&& self, std::size_t index, double used,
-                 int units_left, double current) -> void {
-    if (expansions != nullptr) ++*expansions;
-    if (total_items > 0) {
-      const double adj = adjusted(counts, current);
-      if (adj > best_value + 1e-12) {
-        best_value = adj;
-        best.counts = counts;
-        best.total_width = used;
-        best.total_items = total_items;
-        improved_on_seed = true;
-      }
-    }
-    if (index == widths.size()) return;
-    const double cap_left = problem.strip_width - used;
-    const double entry_bound =
-        dp != nullptr
-            ? dp->suffix[index][static_cast<std::size_t>(units_left)]
-            : cap_left * suffix_density[index];
-    if (current + entry_bound + bonus_cap <= best_value + 1e-12) {
-      return;  // bound: cannot beat the incumbent
-    }
-    const int max_here =
-        static_cast<int>(std::floor(cap_left / widths[index] + 1e-9));
-    for (int c = max_here; c >= 0; --c) {
-      // Skip negative-value widths — unless a positive branching bonus
-      // needs them present.
-      if (c > 0 && value[index] <= 0.0 && keep[index] == 0) continue;
-      // Per-count bound: updates need a strict 1e-12 improvement, so
-      // skipping subtrees bounded by best_value + 1e-12 cannot change
-      // the returned maximizer — and with a warm cache seed for
-      // best_value this skips most of the tree before ever recursing.
-      const double c_value = current + c * value[index];
-      int rem_units = units_left;
-      double c_bound;
-      if (dp != nullptr) {
-        rem_units = units_left - c * dp->width_units[index];
-        if (rem_units < 0) continue;  // defensive: double/unit edge
-        c_bound = dp->suffix[index + 1][static_cast<std::size_t>(rem_units)];
-      } else {
-        c_bound = (cap_left - c * widths[index]) * suffix_density[index + 1];
-      }
-      if (c_value + c_bound + bonus_cap <= best_value + 1e-12) continue;
-      counts[index] = c;
-      total_items += c;
-      self(self, index + 1, used + c * widths[index], rem_units, c_value);
-      total_items -= c;
-    }
-    counts[index] = 0;
-  };
-  dfs(dfs, 0, 0.0, dp != nullptr ? dp->cap_units : 0, 0.0);
-  if (seed != nullptr && seed_value > 0.0 && !improved_on_seed) {
-    best_value = seed_value;  // the -2e-12 was only a pruning device
-  }
-  *best_value_out = best_value;
-  return best;
-}
-
 // Bounded-knapsack pricing: per phase maximize sum counts[i]*value[i]
 // subject to sum counts[i]*width[i] <= capacity. In the differenced form
 // the dual of demand row (j, i) already equals the suffix sum of the
@@ -518,8 +289,8 @@ class KnapsackOracle final : public lp::PricingOracle {
     return out;
   }
 
-  [[nodiscard]] std::int64_t dfs_expansions() const {
-    return dfs_expansions_;
+  [[nodiscard]] const PricingStats& dfs_stats() const {
+    return dfs_stats_;
   }
 
  private:
@@ -568,10 +339,9 @@ class KnapsackOracle final : public lp::PricingOracle {
       fill_dp_bound(problem_, grid_denom_, value, dp_scratch_);
       dp = &dp_scratch_;
     }
-    Configuration best = best_config_for_phase(problem_, value, rows, phase,
-                                               best_value_out, seed,
-                                               seed_value, &dfs_expansions_,
-                                               dp);
+    Configuration best =
+        best_config_for_phase(problem_, value, rows, phase, best_value_out,
+                              dfs_scratch_, seed, seed_value, dp, &dfs_stats_);
     if (cache_ != nullptr) {
       bnp::PricingCache::Seed result;
       result.value = *best_value_out;
@@ -616,9 +386,10 @@ class KnapsackOracle final : public lp::PricingOracle {
   bnp::PricingCache* cache_ = nullptr;      // owned by the solver state
   int grid_denom_ = 0;  // common width grid for the DP bound (0: none)
   DpBound dp_scratch_;
+  PricingDfsScratch dfs_scratch_;
   std::vector<AppliedBranchRow> applied_;   // scratch
   std::vector<std::pair<int, double>> probe_rows_;  // scratch
-  std::int64_t dfs_expansions_ = 0;
+  PricingStats dfs_stats_;  // dfs_expansions and row_tests only
   double min_reduced_cost_ = -std::numeric_limits<double>::infinity();
 };
 
@@ -1361,7 +1132,8 @@ PricingStats ConfigLpSolver::pricing_stats() const {
   const State& s = *state_;
   PricingStats stats;
   if (s.oracle != nullptr) {
-    stats.dfs_expansions = s.oracle->dfs_expansions();
+    stats.dfs_expansions = s.oracle->dfs_stats().dfs_expansions;
+    stats.row_tests = s.oracle->dfs_stats().row_tests;
   }
   if (s.cache != nullptr) {
     stats.cache_probes = s.cache->probes();

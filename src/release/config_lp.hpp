@@ -147,6 +147,10 @@ struct FractionalSolution {
 /// cache exists to shrink.
 struct PricingStats {
   std::int64_t dfs_expansions = 0;
+  /// Branch-row predicate tests done by the pricing DFS (see
+  /// release/pricing_dfs.hpp: zero-multiplier rows are never tested,
+  /// pair rows once per assignment of their larger width).
+  std::int64_t row_tests = 0;
   std::int64_t cache_probes = 0;
   std::int64_t cache_hits = 0;
   /// Exact-input memo hits: pricing searches skipped outright.

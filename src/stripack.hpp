@@ -66,6 +66,7 @@
 #include "release/config_lp.hpp"           // IWYU pragma: export
 #include "release/configurations.hpp"      // IWYU pragma: export
 #include "release/integralize.hpp"         // IWYU pragma: export
+#include "release/pricing_dfs.hpp"         // IWYU pragma: export
 #include "release/release_rounding.hpp"    // IWYU pragma: export
 #include "release/width_grouping.hpp"      // IWYU pragma: export
 #include "service/canonical.hpp"           // IWYU pragma: export

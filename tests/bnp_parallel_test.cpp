@@ -66,6 +66,10 @@ void expect_bit_identical(const BnpResult& a, const BnpResult& b,
   EXPECT_EQ(a.batches, b.batches) << label;
   EXPECT_EQ(a.branch_rows, b.branch_rows) << label;
   EXPECT_EQ(a.cutoff_pruned_nodes, b.cutoff_pruned_nodes) << label;
+  // Deterministic pricing work counters, summed over the master and
+  // every clone: each node's pricing replays on its clone exactly.
+  EXPECT_EQ(a.pricing_dfs_expansions, b.pricing_dfs_expansions) << label;
+  EXPECT_EQ(a.pricing_row_tests, b.pricing_row_tests) << label;
   // Conflict-learning state is part of the determinism contract: the
   // store is only touched in the serial merge order, so learned nogoods
   // and both prune kinds must replay exactly across thread counts.

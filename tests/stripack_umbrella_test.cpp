@@ -86,6 +86,17 @@ TEST(Umbrella, ReleaseAptas) {
   EXPECT_GT(result.height, 0.0);
   // Lemma 3.1 rounding is reachable through the umbrella too.
   EXPECT_EQ(release::count_distinct_releases(ins), 3u);
+  // So is the exact pricing search: widths 0.5 and 0.25 on a unit strip
+  // sit on the 1/4 grid, and the best configuration under these values
+  // is four 0.25s (value 1.2).
+  const release::ConfigLpProblem problem = release::make_problem(ins);
+  EXPECT_EQ(release::detect_width_grid(problem), 4);
+  release::PricingDfsScratch scratch;
+  double best = 0.0;
+  const release::Configuration config = release::best_config_for_phase(
+      problem, {0.5, 0.3}, {}, 0, &best, scratch);
+  EXPECT_EQ(config.counts, (std::vector<int>{0, 4}));
+  EXPECT_DOUBLE_EQ(best, 1.2);
 }
 
 // bnp: branch and price certifies the hard_integral gap family, the node
