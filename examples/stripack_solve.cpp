@@ -247,8 +247,9 @@ int main(int argc, char** argv) {
                     << ", columns " << result.columns << ", LP pivots "
                     << result.lp_iterations << " (dual "
                     << result.dual_iterations << ", warm phase-1 "
-                    << result.warm_phase1_iterations << "), Farkas rounds "
-                    << result.farkas_rounds << "\n"
+                    << result.warm_phase1_iterations << ", dual Bland "
+                    << "fallbacks " << result.lp_dual_bland_fallbacks
+                    << "), Farkas rounds " << result.farkas_rounds << "\n"
                     << "bnp: pricing DFS expansions "
                     << result.pricing_dfs_expansions << ", row tests "
                     << result.pricing_row_tests << ", cache probes "

@@ -320,6 +320,7 @@ void accumulate(BnpResult& result, const release::FractionalSolution& s) {
   result.lp_residual_repairs += s.lp_residual_repairs;
   result.lp_cold_restarts += s.lp_cold_restarts;
   result.master_failovers += s.master_failovers;
+  result.lp_dual_bland_fallbacks += s.lp_dual_bland_fallbacks;
 }
 
 // The warm-path invariant: node re-solves never run phase 1 — unless the

@@ -198,6 +198,9 @@ struct BnpResult {
   int lp_cold_restarts = 0;
   int master_failovers = 0;
   int node_retries = 0;
+  /// Dual-simplex anti-cycling engagements (Bland leaving-row fallback,
+  /// see `lp::SimplexEngine::solve_dual`), summed over every LP re-solve.
+  int lp_dual_bland_fallbacks = 0;
   // Conflict-learning diagnostics (bnp/conflicts; all zero with
   // `use_conflicts` off). Prunes count children cut *before* enqueue —
   // they also never show up in `nodes_created`.

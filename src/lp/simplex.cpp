@@ -224,6 +224,7 @@ class SimplexEngine::Impl {
     retry.refactor_retries += first.refactor_retries;
     retry.residual_repairs += first.residual_repairs;
     retry.cold_restarts = first.cold_restarts + 1;
+    retry.dual_bland_fallbacks += first.dual_bland_fallbacks;
     return retry;
   }
 
@@ -316,6 +317,7 @@ class SimplexEngine::Impl {
     retry.refactor_retries += first.refactor_retries;
     retry.residual_repairs += first.residual_repairs;
     retry.cold_restarts = first.cold_restarts + 1;
+    retry.dual_bland_fallbacks += first.dual_bland_fallbacks;
     return retry;
   }
 
@@ -371,6 +373,13 @@ class SimplexEngine::Impl {
     }
 
     int stall_retries = 0;
+    // Anti-cycling, as in the primal loop: after a long run of pivots
+    // with a zero dual step, the leaving row switches to Bland's rule
+    // (smallest order key among the primal-infeasible rows) for the rest
+    // of this solve. Together with the Bland tie-break on the entering
+    // side this cannot revisit a basis.
+    int degenerate_streak = 0;
+    bool bland_leaving = false;
     while (true) {
       if (solution.iterations >= max_iters || stop_requested()) {
         solution.status = SolveStatus::IterationLimit;
@@ -396,11 +405,17 @@ class SimplexEngine::Impl {
         }
       }
       // Leaving row: most negative basic value (first such row on ties —
-      // deterministic).
+      // deterministic), or under the Bland fallback the infeasible row
+      // whose basic column has the smallest order key.
       int leave = -1;
       double most_negative = -feas_tol;
       for (int i = 0; i < m_; ++i) {
-        if (xb_[i] < most_negative) {
+        if (bland_leaving) {
+          if (xb_[i] < -feas_tol &&
+              (leave < 0 || order_key(basis_[i]) < order_key(basis_[leave]))) {
+            leave = i;
+          }
+        } else if (xb_[i] < most_negative) {
           most_negative = xb_[i];
           leave = i;
         }
@@ -468,6 +483,14 @@ class SimplexEngine::Impl {
         continue;
       }
       stall_retries = 0;
+      if (best_ratio <= options_.tol) {
+        if (++degenerate_streak > 5 * m_ + 200 && !bland_leaving) {
+          bland_leaving = true;
+          ++solution.dual_bland_fallbacks;
+        }
+      } else {
+        degenerate_streak = 0;
+      }
       apply_dual_update_from_u(leave, reduced_cost(entering));
       pivot(entering, leave, xb_[leave] / d_[leave]);
       ++solution.iterations;

@@ -9,7 +9,8 @@
 // (`SimplexOptions::pricing`): partial Dantzig (cyclic block scans feeding
 // a candidate list), Bland, or steepest edge (Forrest–Goldfarb reference
 // weights maintained incrementally per pivot), with an automatic switch to
-// Bland's rule after long degenerate streaks (anti-cycling). Returns a
+// Bland's rule after long degenerate streaks (anti-cycling; the dual
+// simplex switches its leaving-row choice the same way). Returns a
 // *basic* optimal solution — which is precisely what Lemma 3.3 needs: a
 // basic solution of the configuration LP has at most (W+1)(R+1) nonzero
 // variables.
@@ -135,6 +136,10 @@ struct Solution {
   std::int64_t phase1_iterations = 0;
   /// Pivots spent in the dual simplex (nonzero only for `solve_dual`).
   std::int64_t dual_iterations = 0;
+  /// Times `solve_dual` switched its leaving-row choice to Bland's rule
+  /// after a long run of zero-step pivots (anti-cycling; at most one per
+  /// dual attempt). Zero on a non-degenerate solve.
+  int dual_bland_fallbacks = 0;
   /// Model columns that are basic in the final basis (excludes slacks).
   std::vector<int> basic_columns;
   /// Full basis encoding (one code per row) for warm-start handoff.
@@ -236,6 +241,11 @@ class SimplexEngine {
   /// certified bound — the caller can prune without finishing the solve.
   /// Ignored (infinity) by default, and inactive while cost shifts are
   /// live or on the primal fallback paths (no bound is available there).
+  ///
+  /// Anti-cycling: after `5m + 200` consecutive pivots whose dual ratio
+  /// step is zero, the leaving row is chosen by Bland's rule (the
+  /// primal-infeasible basic with the smallest column order) for the rest
+  /// of the attempt; `Solution::dual_bland_fallbacks` counts it.
   [[nodiscard]] Solution solve_dual(
       bool shift_dual_infeasible = false,
       double objective_cutoff =

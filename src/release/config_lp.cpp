@@ -526,18 +526,21 @@ struct ConfigLpSolver::State {
   int acc_residual_repairs = 0;
   int acc_cold_restarts = 0;
   int acc_master_failovers = 0;
+  int acc_dual_bland_fallbacks = 0;
 
   void reset_recovery() {
     acc_refactor_retries = 0;
     acc_residual_repairs = 0;
     acc_cold_restarts = 0;
     acc_master_failovers = 0;
+    acc_dual_bland_fallbacks = 0;
   }
 
   void note(const lp::Solution& solution) {
     acc_refactor_retries += solution.refactor_retries;
     acc_residual_repairs += solution.residual_repairs;
     acc_cold_restarts += solution.cold_restarts;
+    acc_dual_bland_fallbacks += solution.dual_bland_fallbacks;
   }
 
   void note_colgen(const lp::ColgenResult& result) {
@@ -627,6 +630,7 @@ struct ConfigLpSolver::State {
     out.lp_residual_repairs = acc_residual_repairs;
     out.lp_cold_restarts = acc_cold_restarts;
     out.master_failovers = acc_master_failovers;
+    out.lp_dual_bland_fallbacks = acc_dual_bland_fallbacks;
     if (!options.use_column_generation) {
       out.configurations = table.configs.size();
     }

@@ -120,6 +120,9 @@ struct FractionalSolution {
   int lp_residual_repairs = 0;
   int lp_cold_restarts = 0;
   int master_failovers = 0;
+  /// Dual-simplex anti-cycling engagements (`lp::Solution::
+  /// dual_bland_fallbacks`), summed over the same re-solves.
+  int lp_dual_bland_fallbacks = 0;
   /// Lagrangian early termination (see `ConfigLpSolver::set_node_cutoff`):
   /// the re-solve proved `cutoff_bound` is a lower bound on this LP's
   /// *full* optimum with `cutoff_bound >= cutoff`, and stopped early.

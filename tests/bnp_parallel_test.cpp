@@ -70,6 +70,9 @@ void expect_bit_identical(const BnpResult& a, const BnpResult& b,
   // every clone: each node's pricing replays on its clone exactly.
   EXPECT_EQ(a.pricing_dfs_expansions, b.pricing_dfs_expansions) << label;
   EXPECT_EQ(a.pricing_row_tests, b.pricing_row_tests) << label;
+  // Dual anti-cycling engages on a pure function of each node's LP, so
+  // its count replays across thread counts too.
+  EXPECT_EQ(a.lp_dual_bland_fallbacks, b.lp_dual_bland_fallbacks) << label;
   // Conflict-learning state is part of the determinism contract: the
   // store is only touched in the serial merge order, so learned nogoods
   // and both prune kinds must replay exactly across thread counts.

@@ -14,6 +14,7 @@
 #include "io/instance_io.hpp"
 #include "service/solver_service.hpp"
 #include "test_support.hpp"
+#include "util/rng.hpp"
 
 namespace stripack::service {
 namespace {
@@ -220,6 +221,47 @@ TEST(SolverService, ServeStreamReportsMalformedDocumentAndStops) {
       << out;
   EXPECT_NE(out.find("request 1\nstatus error"), std::string::npos) << out;
   EXPECT_NE(out.find("strip_width"), std::string::npos) << out;
+}
+
+// The request stream of perfbench's `mixed_served` workload
+// (perfbench/driver/mixed_served.cpp): request i is a fresh instance of
+// 6-11 items, widths in {0.1, ..., 0.6}, integer heights 1-4 and
+// releases 0-2, drawn from a SplitMix64-derived seed and sent as text.
+Instance mixed_served_request(std::uint64_t seed, std::uint64_t i) {
+  std::uint64_t z = seed * 0x9e3779b97f4a7c15ULL + i + 0x632be59bd9b4e019ULL;
+  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
+  Rng rng(z ^ (z >> 31));
+  Instance instance;
+  const auto n = rng.uniform_int(6, 11);
+  for (std::int64_t k = 0; k < n; ++k) {
+    const double width = 0.1 * static_cast<double>(rng.uniform_int(1, 6));
+    const auto height = static_cast<double>(rng.uniform_int(1, 4));
+    const auto release = static_cast<double>(rng.uniform_int(0, 2));
+    (void)instance.add_item(width, height, release);
+  }
+  std::ostringstream os;
+  io::write_instance(os, instance);
+  std::istringstream is(os.str());
+  return io::read_instance(is);
+}
+
+TEST(SolverService, WarmPoolReplayCertifiesEveryRequest) {
+  // Seed 2, requests 0-374, one at a time through one service: the warm
+  // class masters' dual re-solves hit long zero-step dual cycles on this
+  // stream (m = 127), which without the dual simplex's Bland fallback end
+  // in IterationLimit — a Stalled answer or a "left the warm path"
+  // solver error at request 374. Every request must come back certified.
+  SolverService service;
+  for (std::uint64_t i = 0; i <= 374; ++i) {
+    (void)service.enqueue(mixed_served_request(2, i));
+    const std::vector<ServiceResponse> responses = service.run();
+    ASSERT_EQ(responses.size(), 1u);
+    const ServiceResponse& r = responses.front();
+    ASSERT_TRUE(r.ok) << "request " << i << ": " << r.error;
+    EXPECT_EQ(r.status, bnp::BnpStatus::Optimal) << "request " << i;
+    EXPECT_NEAR(r.height, r.dual_bound, 1e-6) << "request " << i;
+  }
 }
 
 }  // namespace
