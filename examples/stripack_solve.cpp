@@ -230,6 +230,7 @@ int main(int argc, char** argv) {
         if (verbose) {
           std::cout << "bnp: dual bound " << result.dual_bound
                     << ", nodes created " << result.nodes_created
+                    << ", incumbent at node " << result.incumbent_node
                     << ", batches " << result.batches
                     << ", cutoff-pruned " << result.cutoff_pruned_nodes
                     << ", strong-branch probes "

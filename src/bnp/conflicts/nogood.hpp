@@ -22,7 +22,7 @@
 // stored nogoods (`learn` absorbs supersets in both directions).
 //
 // Determinism: the store is only ever touched from serial contexts (the
-// serial driver's loop; the batch driver's node-id-ordered merge loop),
+// serial driver's loop; the batch driver's pop-ordered merge loop),
 // so its contents — and therefore every prune — are identical across
 // thread counts. Eviction under the capacity bound is deterministic too:
 // the nogood with the most literals goes first (most-specific = least

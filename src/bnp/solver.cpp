@@ -88,7 +88,7 @@ using RowKey = std::pair<int, PredKey>;  // (sense, predicate)
 
 // Per-predicate pseudo-cost statistics: observed dual-bound gain per unit
 // of fractional distance, separately for the LE ("down") and GE ("up")
-// child. Updated in node-id order, so scores are deterministic and
+// child. Updated in node processing order, so scores are deterministic and
 // identical across thread counts.
 struct PseudoCost {
   double down_sum = 0.0;
@@ -370,7 +370,7 @@ struct Search {
   std::size_t phases = 0;
   // Conflict learning (bnp/conflicts), engaged iff options.use_conflicts.
   // Both are touched only from serial contexts (the serial/cold loops and
-  // the batch driver's id-ordered merge loop), so prunes are identical
+  // the batch driver's pop-ordered merge loop), so prunes are identical
   // across thread counts.
   std::optional<conflicts::NogoodStore> nogoods;
   std::optional<conflicts::Propagator> propagator;
@@ -581,6 +581,7 @@ struct Search {
           integral_slices(totals, problem.widths);
       if (tree.offer_incumbent(slices_objective(slices, phases))) {
         incumbent = std::move(slices);
+        result.incumbent_node = tree.created();
       }
       return;
     }
@@ -817,9 +818,10 @@ void run_batched(Search& search, const Stopwatch& watch, int batch_size) {
         search.solver, tasks, search.cutoff(), height_cap);
     ++result.batches;
 
-    // Merge in node-id order (ids are popped best-first = id-ascending on
-    // ties, and each eval only depends on its own task, so this order is
-    // the canonical serial one).
+    // Merge in pop order (best bound first, newest node first on ties —
+    // the order the serial driver would process them in); each eval only
+    // depends on its own task, so the merge is deterministic for any
+    // thread count.
     for (std::size_t i = 0; i < ids.size(); ++i) {
       const int id = ids[i];
       const NodeEvaluation& eval = evals[i];
@@ -837,7 +839,7 @@ void run_batched(Search& search, const Stopwatch& watch, int batch_size) {
       }
       if (sol.status == lp::SolveStatus::Infeasible) {
         // Clones share the master's row indices, so the task's path and
-        // the projection line up; learning here — inside the id-ordered
+        // the projection line up; learning here — inside the pop-ordered
         // merge loop — keeps the store identical across thread counts.
         search.learn_from(sol, tasks[i].path, search.pred_by_row);
         continue;
@@ -1097,6 +1099,7 @@ BnpResult solve_impl(const Instance& instance, const BnpOptions& options,
       search.incumbent = std::move(rounded);
     }
   }
+  result.incumbent_node = search.tree.created();  // the root alone
 
   result.nodes = 1;
   (void)search.tree.pop_best();  // the root: its LP is the solve above

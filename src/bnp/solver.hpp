@@ -88,7 +88,7 @@ struct BnpOptions {
   /// in place, seeing every previously priced column. Larger batches
   /// evaluate the top-B open nodes against a master snapshot *frozen at
   /// the batch start* (on per-node clones) and merge children, incumbents
-  /// and priced columns back in node-id order — the explored tree may
+  /// and priced columns back in pop order — the explored tree may
   /// differ from B = 1 (that is the price of parallel evaluation), but is
   /// identical for every thread count at the same B. 0 picks
   /// automatically: 1 when threads == 1, else 4 * threads.
@@ -170,6 +170,11 @@ struct BnpResult {
   // Search diagnostics.
   std::size_t nodes = 0;          // processed
   std::size_t nodes_created = 0;  // including never-popped children
+  /// `nodes_created` at the moment the final incumbent was found — how
+  /// far the search had to grow the tree to reach it. 1 when the incumbent
+  /// came from the root (trivial stack, root rounding or an integral root
+  /// LP).
+  std::size_t incumbent_node = 0;
   std::size_t branch_rows = 0;    // distinct rows materialized
   std::size_t columns = 0;        // master columns at the end
   std::int64_t lp_iterations = 0;

@@ -1,7 +1,7 @@
 // Deterministic parallel node evaluation for branch and price (bnp/solver).
 //
 // Batch-synchronous search: the solver pops the top-B open nodes, hands
-// them here as tasks, and merges the results back in node-id order. Each
+// them here as tasks, and merges the results back in pop order. Each
 // task is evaluated on a *fresh clone* of the frozen master
 // (`ConfigLpSolver::clone()` — copied model/columns/branch rows/pattern
 // cache, engine warm-started from the master's last optimal basis), so a

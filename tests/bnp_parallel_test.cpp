@@ -63,6 +63,7 @@ void expect_bit_identical(const BnpResult& a, const BnpResult& b,
   EXPECT_EQ(a.dual_bound, b.dual_bound) << label;
   EXPECT_EQ(a.nodes, b.nodes) << label;
   EXPECT_EQ(a.nodes_created, b.nodes_created) << label;
+  EXPECT_EQ(a.incumbent_node, b.incumbent_node) << label;
   EXPECT_EQ(a.batches, b.batches) << label;
   EXPECT_EQ(a.branch_rows, b.branch_rows) << label;
   EXPECT_EQ(a.cutoff_pruned_nodes, b.cutoff_pruned_nodes) << label;
@@ -211,17 +212,18 @@ TEST(BnpParallel, PseudoCostBranchingStaysExactOnGapFamilies) {
 TEST(BnpParallel, BudgetedBatchRunsKeepValidBrackets) {
   // A node budget smaller than the tree must yield NodeLimit with a
   // bracket that still sandwiches the true optimum — including when the
-  // budget bites mid-batch (budget 10, batches of 4).
+  // budget bites mid-batch (budget 6, batches of 4: the root, one full
+  // batch, then a batch cut to one node).
   const Instance ins = seeded_instance(3, 20, 27, 39, 1, 0);
   BnpOptions exact;
   exact.rounding_incumbent = false;
   const BnpResult truth = solve(ins, exact);
   ASSERT_EQ(truth.status, BnpStatus::Optimal);
-  ASSERT_GT(truth.nodes, 12u);  // the budget below must genuinely bite
+  ASSERT_GT(truth.nodes, 8u);  // the budget below must genuinely bite
   BnpOptions options = exact;
   options.threads = 2;
   options.node_batch = 4;
-  options.budget.max_nodes = 10;
+  options.budget.max_nodes = 6;
   const BnpResult result = solve(ins, options);
   EXPECT_EQ(result.status, BnpStatus::NodeLimit);
   EXPECT_LE(result.dual_bound, result.height + kTol);

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 #include <vector>
 
 #include "bnp/node_tree.hpp"
@@ -28,18 +29,24 @@ Instance integer_instance(
   return Instance(std::move(out));
 }
 
-TEST(NodeTree, BestFirstWithFifoTies) {
+TEST(NodeTree, BestFirstWithNewestFirstTies) {
   NodeTree tree;
   tree.add_root(5.0);
   ASSERT_EQ(tree.pop_best(), 0);
   BranchDecision d;  // contents irrelevant here
-  const int a = tree.add_child(0, d, 7.0);
-  const int b = tree.add_child(0, d, 6.0);
-  const int c = tree.add_child(0, d, 7.0);
-  EXPECT_EQ(tree.pop_best(), b);
-  // Equal bounds pop in creation order.
-  EXPECT_EQ(tree.pop_best(), a);
+  const int a = tree.add_child(0, d, 6.0);
+  const int b = tree.add_child(0, d, 7.0);
+  const int c = tree.add_child(0, d, 6.0);
+  const int e = tree.add_child(0, d, 7.0);
+  // The bound orders first: the older bound-6 node beats the newer
+  // bound-7 ones, and equal bounds pop the newest node first.
   EXPECT_EQ(tree.pop_best(), c);
+  const int f = tree.add_child(c, d, 6.0);
+  EXPECT_DOUBLE_EQ(tree.best_open_bound(), 6.0);
+  EXPECT_EQ(tree.pop_best(), f);
+  EXPECT_EQ(tree.pop_best(), a);
+  EXPECT_EQ(tree.pop_best(), e);
+  EXPECT_EQ(tree.pop_best(), b);
   EXPECT_EQ(tree.pop_best(), std::nullopt);
 }
 
@@ -242,6 +249,61 @@ TEST(Bnp, SeededReleaseWorkloadsAreCertifiedAndRealized) {
         << "seed=" << seed;
     EXPECT_GE(result.packing.height(), result.height - kTol);
   }
+}
+
+// Node ceilings on the deep-search families. The root LP bound of a
+// jittered gap instance already equals the optimum, so the search is a
+// hunt for one integral node: newest-first ties dive for it, where FIFO
+// ties swept each bound level breadth-first (tens of thousands of nodes
+// per instance). The ceilings leave a wide margin over the measured
+// counts and fail on a FIFO tree.
+TEST(Bnp, JitteredGapFamiliesCertifyWithinANodeCeiling) {
+  struct Shape {
+    std::size_t k;
+    double spacing;
+    std::uint64_t seeds;
+  };
+  for (const Shape shape : {Shape{3, 5.0, 8}, Shape{4, 5.0, 8},
+                            Shape{5, 6.0, 4}}) {
+    for (std::uint64_t seed = 1; seed <= shape.seeds; ++seed) {
+      const auto family =
+          gen::hard_integral_jittered(shape.k, 2, shape.spacing, seed);
+      BnpOptions options;
+      options.budget.max_nodes = 500;
+      const BnpResult result = solve(family.instance, options);
+      const std::string label =
+          "k=" + std::to_string(shape.k) + " seed=" + std::to_string(seed);
+      EXPECT_EQ(result.status, BnpStatus::Optimal) << label;
+      EXPECT_NEAR(result.height, family.certificate.ip_height, kTol)
+          << label;
+      EXPECT_NEAR(result.dual_bound, result.height, kTol) << label;
+      EXPECT_LE(result.incumbent_node, result.nodes_created) << label;
+    }
+  }
+}
+
+TEST(Bnp, ScaleInstanceClosesWithinItsBudget) {
+  // bench_scaling's BnpScale n = 120 workload (seed 49, widths
+  // 0.27-0.45, heights 1-2, releases 0-4) under its 150-node budget and
+  // without the rounding incumbent: the search must prove the optimum
+  // rather than stop at NodeLimit with a bracket.
+  Rng rng(49);
+  std::vector<Item> items;
+  for (int i = 0; i < 120; ++i) {
+    const double w = static_cast<double>(rng.uniform_int(27, 45)) / 100.0;
+    const double h = static_cast<double>(rng.uniform_int(1, 2));
+    const double r = static_cast<double>(rng.uniform_int(0, 4));
+    items.push_back(Item{Rect{w, h}, r});
+  }
+  const Instance ins(std::move(items), 1.0);
+  BnpOptions options;
+  options.rounding_incumbent = false;
+  options.budget.max_nodes = 150;
+  const BnpResult result = solve(ins, options);
+  EXPECT_EQ(result.status, BnpStatus::Optimal);
+  EXPECT_NEAR(result.height, 66.0, kTol);
+  EXPECT_NEAR(result.dual_bound, 66.0, kTol);
+  EXPECT_TRUE(testing::placement_valid(ins, result.packing.placement));
 }
 
 TEST(Bnp, RejectsNonIntegerAndPrecedenceInstances) {
