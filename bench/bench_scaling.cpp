@@ -345,10 +345,9 @@ namespace bnp_scale {
 
 // PR 5 scaling workloads: widths in the two-to-three-per-column regime
 // (persistent fractional pair totals), integer heights 1..2 and releases
-// over a few phases — the searches genuinely branch (with newest-first
-// ties the n = 60 instance proves optimality in 7 nodes and n = 120 in 35,
-// inside its 150-node budget; FIFO ties took 107 nodes and stopped n = 120
-// at the budget with the bracket [66, 175]). Probed shapes, seed fixed.
+// over a few phases — the searches genuinely branch (the n = 60 instance
+// proves optimality in 7 nodes, n = 120 in 35 inside its 150-node
+// budget). Probed shapes, seed fixed.
 Instance scale_instance(std::size_t n) {
   int w_lo = 21;
   int w_hi = 55;

@@ -170,13 +170,13 @@ struct BnpResult {
   // Search diagnostics.
   std::size_t nodes = 0;          // processed
   std::size_t nodes_created = 0;  // including never-popped children
+  std::size_t branch_rows = 0;    // distinct rows materialized
+  std::size_t columns = 0;        // master columns at the end
   /// `nodes_created` at the moment the final incumbent was found — how
   /// far the search had to grow the tree to reach it. 1 when the incumbent
   /// came from the root (trivial stack, root rounding or an integral root
   /// LP).
   std::size_t incumbent_node = 0;
-  std::size_t branch_rows = 0;    // distinct rows materialized
-  std::size_t columns = 0;        // master columns at the end
   std::int64_t lp_iterations = 0;
   std::int64_t dual_iterations = 0;
   /// Phase-1 pivots across all warm node re-solves: 0 on the warm path

@@ -224,7 +224,6 @@ class SimplexEngine::Impl {
     retry.refactor_retries += first.refactor_retries;
     retry.residual_repairs += first.residual_repairs;
     retry.cold_restarts = first.cold_restarts + 1;
-    retry.dual_bland_fallbacks += first.dual_bland_fallbacks;
     return retry;
   }
 

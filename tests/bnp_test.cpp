@@ -253,10 +253,9 @@ TEST(Bnp, SeededReleaseWorkloadsAreCertifiedAndRealized) {
 
 // Node ceilings on the deep-search families. The root LP bound of a
 // jittered gap instance already equals the optimum, so the search is a
-// hunt for one integral node: newest-first ties dive for it, where FIFO
-// ties swept each bound level breadth-first (tens of thousands of nodes
-// per instance). The ceilings leave a wide margin over the measured
-// counts and fail on a FIFO tree.
+// hunt for one integral node, and newest-first ties dive for it (at most
+// 53 nodes on these shapes). A breadth-first sweep of each bound level
+// needs thousands of nodes per instance and fails the ceiling.
 TEST(Bnp, JitteredGapFamiliesCertifyWithinANodeCeiling) {
   struct Shape {
     std::size_t k;
@@ -274,8 +273,7 @@ TEST(Bnp, JitteredGapFamiliesCertifyWithinANodeCeiling) {
       const std::string label =
           "k=" + std::to_string(shape.k) + " seed=" + std::to_string(seed);
       EXPECT_EQ(result.status, BnpStatus::Optimal) << label;
-      EXPECT_NEAR(result.height, family.certificate.ip_height, kTol)
-          << label;
+      EXPECT_NEAR(result.height, family.certificate.ip_height, kTol) << label;
       EXPECT_NEAR(result.dual_bound, result.height, kTol) << label;
       EXPECT_LE(result.incumbent_node, result.nodes_created) << label;
     }
