@@ -296,12 +296,11 @@ Instance bench_instance(std::size_t n) {
   return Instance(std::move(items), 1.0);
 }
 
-void run(benchmark::State& state, bool reuse_engine) {
+void run(benchmark::State& state) {
   const Instance ins =
       bench_instance(static_cast<std::size_t>(state.range(0)));
   bnp::BnpOptions options;
   options.rounding_incumbent = false;
-  options.reuse_engine = reuse_engine;
   bnp::BnpResult last;
   for (auto _ : state) {
     last = bnp::solve(ins, options);
@@ -319,22 +318,10 @@ void run(benchmark::State& state, bool reuse_engine) {
 }  // namespace branch_and_price
 
 void BM_BranchAndPrice(benchmark::State& state) {
-  // Warm path: one shared master, per-node dual re-solves (warm_phase1
-  // stays 0). Compare per-node cost against BM_BranchAndPriceColdNodes.
-  branch_and_price::run(state, /*reuse_engine=*/true);
+  // One shared master, per-node dual re-solves (warm_phase1 stays 0).
+  branch_and_price::run(state);
 }
 BENCHMARK(BM_BranchAndPrice)
-    ->ArgNames({"n"})
-    ->Arg(10)
-    ->Arg(14)
-    ->Arg(18)
-    ->Unit(benchmark::kMillisecond);
-
-void BM_BranchAndPriceColdNodes(benchmark::State& state) {
-  // Baseline: a fresh master built and cold-solved at every node.
-  branch_and_price::run(state, /*reuse_engine=*/false);
-}
-BENCHMARK(BM_BranchAndPriceColdNodes)
     ->ArgNames({"n"})
     ->Arg(10)
     ->Arg(14)
@@ -373,24 +360,20 @@ Instance scale_instance(std::size_t n) {
   return Instance(std::move(items), 1.0);
 }
 
-// One configuration of the PR 5 solver; the serial-vs-parallel pairs
-// share a batch size so their searches are bit-identical and the timing
-// delta is pure evaluation overlap. `pr4_baseline` reverts every PR 5
-// lever (cache, pseudo costs, strong branching, Lagrangian cutoff) to
-// measure the total algorithmic win on the same instances.
-void run_scale(benchmark::State& state, int threads, int node_batch,
-               bool cache, bool pr4_baseline = false) {
+// One configuration of the scaled solver. `pr4_baseline` reverts the
+// scaling levers that are still options (cache, pseudo costs, strong
+// branching) to measure the algorithmic win on the same instances; the
+// Lagrangian cutoff is always on.
+void run_scale(benchmark::State& state, bool cache,
+               bool pr4_baseline = false) {
   const std::size_t n = static_cast<std::size_t>(state.range(0));
   const Instance ins = scale_instance(n);
   bnp::BnpOptions options;
   options.rounding_incumbent = false;
-  options.threads = threads;
-  options.node_batch = node_batch;
   options.pricing_cache = cache;
   if (pr4_baseline) {
     options.pseudo_cost_branching = false;
     options.strong_branching_probes = 0;
-    options.lagrangian_pruning = false;
   }
   options.budget.max_nodes = n >= 120 ? 150 : 10'000;
   bnp::BnpResult last;
@@ -399,7 +382,6 @@ void run_scale(benchmark::State& state, int threads, int node_batch,
     benchmark::DoNotOptimize(last);
   }
   state.counters["nodes"] = static_cast<double>(last.nodes);
-  state.counters["batches"] = static_cast<double>(last.batches);
   state.counters["cutoff_pruned"] =
       static_cast<double>(last.cutoff_pruned_nodes);
   state.counters["dfs_expansions"] =
@@ -413,9 +395,9 @@ void run_scale(benchmark::State& state, int threads, int node_batch,
 }  // namespace bnp_scale
 
 void BM_BnpScaleSerial(benchmark::State& state) {
-  // The classic one-shared-master serial path with the full PR 5 kit
-  // (pricing cache + DP bound, pseudo costs, Lagrangian cutoff).
-  bnp_scale::run_scale(state, 1, 1, true);
+  // The one-shared-master search with the full scaling kit (pricing
+  // cache + DP bound, pseudo costs, Lagrangian cutoff).
+  bnp_scale::run_scale(state, true);
 }
 BENCHMARK(BM_BnpScaleSerial)
     ->ArgNames({"n"})
@@ -428,7 +410,7 @@ void BM_BnpScaleSerialNoCache(benchmark::State& state) {
   // Memoized pricing off: the DFS re-enumerates from scratch per node —
   // the dfs_expansions counter against BM_BnpScaleSerial is the
   // committed cache win.
-  bnp_scale::run_scale(state, 1, 1, false);
+  bnp_scale::run_scale(state, false);
 }
 BENCHMARK(BM_BnpScaleSerialNoCache)
     ->ArgNames({"n"})
@@ -438,44 +420,12 @@ BENCHMARK(BM_BnpScaleSerialNoCache)
     ->Unit(benchmark::kMillisecond);
 
 void BM_BnpScaleSerialPr4Baseline(benchmark::State& state) {
-  // Every PR 5 lever off (no cache, fractionality branching, no strong
-  // branching, no cutoff): the previous solver's behavior on the new
-  // workloads — the end-to-end algorithmic comparison arm.
-  bnp_scale::run_scale(state, 1, 1, false, /*pr4_baseline=*/true);
+  // The scaling levers that are still options, off (no cache,
+  // fractionality branching, no strong branching; the Lagrangian cutoff
+  // stays on): the end-to-end algorithmic comparison arm.
+  bnp_scale::run_scale(state, false, /*pr4_baseline=*/true);
 }
 BENCHMARK(BM_BnpScaleSerialPr4Baseline)
-    ->ArgNames({"n"})
-    ->Arg(18)
-    ->Arg(60)
-    ->Arg(120)
-    ->Unit(benchmark::kMillisecond);
-
-void BM_BnpScaleBatchT1(benchmark::State& state) {
-  // Batch-synchronous semantics (B = 8) on one thread: the serial arm of
-  // the thread-scaling comparison, bit-identical to the T2/T4 runs.
-  bnp_scale::run_scale(state, 1, 8, true);
-}
-BENCHMARK(BM_BnpScaleBatchT1)
-    ->ArgNames({"n"})
-    ->Arg(18)
-    ->Arg(60)
-    ->Arg(120)
-    ->Unit(benchmark::kMillisecond);
-
-void BM_BnpScaleBatchT2(benchmark::State& state) {
-  bnp_scale::run_scale(state, 2, 8, true);
-}
-BENCHMARK(BM_BnpScaleBatchT2)
-    ->ArgNames({"n"})
-    ->Arg(18)
-    ->Arg(60)
-    ->Arg(120)
-    ->Unit(benchmark::kMillisecond);
-
-void BM_BnpScaleBatchT4(benchmark::State& state) {
-  bnp_scale::run_scale(state, 4, 8, true);
-}
-BENCHMARK(BM_BnpScaleBatchT4)
     ->ArgNames({"n"})
     ->Arg(18)
     ->Arg(60)

@@ -3,18 +3,15 @@
 //   $ ./stripack_solve <instance.txt> [--algo dc|uniform|aptas|kr|list|
 //                                       nfdh|ffdh|bfdh|sleator|skyline|bnp]
 //                      [--eps E] [--K k] [--svg out.svg] [--out placement.txt]
-//                      [--threads N] [--node-batch B] [--time-limit SEC]
-//                      [--backend NAME] [--portfolio MODE] [--no-conflicts]
-//                      [--verbose]
+//                      [--time-limit SEC] [--backend NAME]
+//                      [--portfolio MODE] [--no-conflicts] [--verbose]
 //
 // Reads the text format of io/instance_io.hpp, picks the algorithm (or
 // chooses one from the instance's constraints when --algo is omitted),
 // validates the result, and reports the height against the certified lower
 // bounds. A downstream user's one-stop entry point.
 //
-// `--threads` / `--node-batch` configure the branch-and-price solver's
-// batch-synchronous parallel node evaluation (bnp only; default serial,
-// 0 = auto). `--time-limit` sets the bnp wall-clock deadline in seconds
+// `--time-limit` sets the bnp wall-clock deadline in seconds
 // (anytime: the solver still returns its best incumbent with a valid
 // [dual_bound, height] bracket). `--backend` picks the master LP's
 // registered `lp::LpBackend` and `--portfolio` its selection mode
@@ -44,16 +41,13 @@ int usage() {
   std::cerr
       << "usage: stripack_solve <instance.txt> [--algo NAME] [--eps E]\n"
          "                      [--K k] [--svg out.svg] [--out place.txt]\n"
-         "                      [--threads N] [--node-batch B]\n"
          "                      [--time-limit SEC] [--backend NAME]\n"
          "                      [--portfolio MODE] [--no-conflicts]\n"
          "                      [--verbose]\n"
          "algorithms: dc uniform aptas kr list nfdh ffdh bfdh sleator "
          "skyline bnp\n"
-         "bnp flags: --threads N (0 = auto) and --node-batch B (0 = auto)\n"
-         "pick the batch-synchronous parallel node evaluation;\n"
-         "--time-limit SEC sets the anytime wall-clock deadline; --backend\n"
-         "selects the master LP backend (";
+         "bnp flags: --time-limit SEC sets the anytime wall-clock deadline;\n"
+         "--backend selects the master LP backend (";
   bool first = true;
   for (const std::string& name : lp::lp_backend_names()) {
     std::cerr << (first ? "" : " | ") << name;
@@ -84,8 +78,6 @@ int main(int argc, char** argv) {
   std::string out_path;
   double eps = 0.5;
   int K = 4;
-  int threads = 1;
-  int node_batch = 0;
   double time_limit = 0.0;  // 0 = unlimited
   std::string backend = lp::kDefaultLpBackend;
   lp::PortfolioMode portfolio = lp::PortfolioMode::Single;
@@ -124,10 +116,6 @@ int main(int argc, char** argv) {
         svg_path = next();
       } else if (flag == "--out") {
         out_path = next();
-      } else if (flag == "--threads") {
-        if (!next_int(threads)) return usage();
-      } else if (flag == "--node-batch") {
-        if (!next_int(node_batch)) return usage();
       } else if (flag == "--time-limit") {
         if (!next_double(time_limit)) return usage();
       } else if (flag == "--backend") {
@@ -196,8 +184,6 @@ int main(int argc, char** argv) {
       }
       if (integral) {
         bnp::BnpOptions options;
-        options.threads = threads;
-        options.node_batch = node_batch;
         options.budget.max_seconds = time_limit;
         options.lp.backend = backend;
         options.lp.portfolio = portfolio;
@@ -221,17 +207,11 @@ int main(int argc, char** argv) {
                     << ", " << result.height << "] (" << why
                     << " hit; incumbent not certified)";
         }
-        std::cout << " over " << result.nodes << " node(s)";
-        if (options.threads != 1 || options.node_batch != 0) {
-          std::cout << " (threads " << options.threads << ", batch "
-                    << options.node_batch << ")";
-        }
-        std::cout << "\n";
+        std::cout << " over " << result.nodes << " node(s)\n";
         if (verbose) {
           std::cout << "bnp: dual bound " << result.dual_bound
                     << ", nodes created " << result.nodes_created
                     << ", incumbent at node " << result.incumbent_node
-                    << ", batches " << result.batches
                     << ", cutoff-pruned " << result.cutoff_pruned_nodes
                     << ", strong-branch probes "
                     << result.strong_branch_probes << "\n";
@@ -262,18 +242,13 @@ int main(int argc, char** argv) {
                     << result.lp_refactor_retries << ", residual repairs "
                     << result.lp_residual_repairs << ", cold restarts "
                     << result.lp_cold_restarts << ", master failovers "
-                    << result.master_failovers << ", node retries "
-                    << result.node_retries << "\n";
+                    << result.master_failovers << "\n";
         }
         placement = result.packing.placement;
       } else {
         STRIPACK_ASSERT(!instance.has_release_times(),
                         "bnp needs integer data on release instances");
-        // Quantizing adapter path: forward the solver flags so --threads
-        // / --node-batch are honoured here too.
         bnp::BnpOptions options = bnp::BnpPacker::default_pack_options();
-        options.threads = threads;
-        options.node_batch = node_batch;
         if (time_limit > 0.0) options.budget.max_seconds = time_limit;
         options.lp.backend = backend;
         options.lp.portfolio = portfolio;

@@ -21,12 +21,11 @@
 // drives both the membership query (`matches`) and subsumption between
 // stored nogoods (`learn` absorbs supersets in both directions).
 //
-// Determinism: the store is only ever touched from serial contexts (the
-// serial driver's loop; the batch driver's pop-ordered merge loop),
-// so its contents — and therefore every prune — are identical across
-// thread counts. Eviction under the capacity bound is deterministic too:
-// the nogood with the most literals goes first (most-specific = least
-// reusable), ties broken by smallest insertion id.
+// Determinism: the store is only ever touched from the search driver's
+// node loop, in node processing order, so its contents — and therefore
+// every prune — replay exactly. Eviction under the capacity bound is
+// deterministic too: the nogood with the most literals goes first
+// (most-specific = least reusable), ties broken by smallest insertion id.
 #pragma once
 
 #include <cstddef>

@@ -7,14 +7,12 @@
 #include <limits>
 #include <map>
 #include <optional>
-#include <set>
 #include <thread>
 #include <tuple>
 #include <utility>
 
 #include "bnp/conflicts/nogood.hpp"
 #include "bnp/conflicts/propagate.hpp"
-#include "bnp/worker_pool.hpp"
 #include "release/integralize.hpp"
 #include "util/assert.hpp"
 #include "util/stopwatch.hpp"
@@ -88,8 +86,7 @@ using RowKey = std::pair<int, PredKey>;  // (sense, predicate)
 
 // Per-predicate pseudo-cost statistics: observed dual-bound gain per unit
 // of fractional distance, separately for the LE ("down") and GE ("up")
-// child. Updated in node processing order, so scores are deterministic and
-// identical across thread counts.
+// child. Updated in node processing order, so scores are deterministic.
 struct PseudoCost {
   double down_sum = 0.0;
   int down_n = 0;
@@ -342,9 +339,9 @@ void accumulate(BnpResult& result, const release::PricingStats& s) {
       std::max(result.pricing_cache_patterns, s.cache_patterns);
 }
 
-// The whole search state threaded through the root handling, the serial
-// path and the batch path. Keeping it in one struct (instead of a dozen
-// lambda captures) makes the two search drivers readable.
+// The whole search state threaded through the root handling and the
+// node loop. Keeping it in one struct (instead of a dozen lambda
+// captures) keeps the driver readable.
 struct Search {
   Search(const BnpOptions& opts, const release::ConfigLpProblem& prob,
          release::ConfigLpSolver& s)
@@ -360,18 +357,11 @@ struct Search {
   // Branch rows shared across nodes through (sense, predicate) keys; rows
   // are created parked at their neutral rhs and activated per node.
   std::map<RowKey, int> row_by_key;
-  // Serial path: rows active at the previously evaluated node, sorted —
-  // the activation diff binary-searches and reserves instead of scanning
-  // every materialized row.
-  std::vector<int> previously_active;
   bool stalled = false;
   double stalled_bound = std::numeric_limits<double>::infinity();
   double tol = 1e-6;
   std::size_t phases = 0;
   // Conflict learning (bnp/conflicts), engaged iff options.use_conflicts.
-  // Both are touched only from serial contexts (the serial/cold loops and
-  // the batch driver's pop-ordered merge loop), so prunes are identical
-  // across thread counts.
   std::optional<conflicts::NogoodStore> nogoods;
   std::optional<conflicts::Propagator> propagator;
   // Row -> literal identity, the inverse of ensure_row: turns a Farkas
@@ -395,8 +385,8 @@ struct Search {
     // bound. Fresh masters never hit the lookup (no rows yet).
     int row = solver.find_branch_row(d.pred, d.sense);
     if (row < 0) row = solver.add_branch_row(d.pred, d.sense, d.rhs);
-    // Park immediately: both search drivers treat "not on the active
-    // path" as neutral, and batch clones must snapshot neutral rows.
+    // Park immediately: the node loop treats "not on the active path"
+    // as neutral.
     solver.deactivate_branch_row(row);
     row_by_key.emplace(key, row);
     if (nogoods) pred_by_row.emplace(row, std::make_pair(d.pred, d.sense));
@@ -423,9 +413,7 @@ struct Search {
   }
 
   [[nodiscard]] double cutoff() const {
-    if (!options.lagrangian_pruning || !tree.has_incumbent()) {
-      return std::numeric_limits<double>::infinity();
-    }
+    if (!tree.has_incumbent()) return std::numeric_limits<double>::infinity();
     // Integer objectives: proving the node's LP >= incumbent - 0.4 rules
     // out any strictly better integer solution in its subtree (the 0.1
     // inside the half-integer quantum absorbs floating-point drift).
@@ -456,9 +444,8 @@ struct Search {
     return std::max(0.0, tree.incumbent() - 0.9);
   }
 
-  // Stall-gate observation: called once per node (serial/cold) or once
-  // per batch round, *before* the pop — a pure function of tree state at
-  // that boundary, so the gate is identical across thread counts.
+  // Stall-gate observation: called once per node, *before* the pop — a
+  // pure function of tree state at that boundary.
   void observe_bound() {
     if (!options.pseudo_cost_branching ||
         options.pseudo_cost_stall_gate <= 0) {
@@ -486,16 +473,14 @@ struct Search {
   // rows that were *parked* at this node: the parked rhs is the loosest
   // any node ever holds, so every node's activation only tightens it and
   // the certificate survives (rhs monotonicity; see bnp/conflicts).
-  void learn_from(
-      const release::FractionalSolution& sol,
-      const std::vector<std::pair<int, double>>& path,
-      const std::map<int, std::pair<release::BranchPredicate, lp::Sense>>&
-          rows) {
+  void learn_from(const release::FractionalSolution& sol,
+                  const std::vector<std::pair<int, double>>& path) {
     if (!nogoods || sol.farkas_branch_rows.empty()) return;
     learn_lits.clear();
     for (const auto& [row, mult] : sol.farkas_branch_rows) {
-      const auto rit = rows.find(row);
-      if (rit == rows.end()) continue;  // not a row this search activates
+      const auto rit = pred_by_row.find(row);
+      // Not a row this search activates.
+      if (rit == pred_by_row.end()) continue;
       double rhs = 0.0;
       bool active = false;
       for (const auto& [prow, prhs] : path) {
@@ -599,9 +584,8 @@ struct Search {
 // Root strong branching: solve both children's LPs for the top-K most
 // fractional pair candidates, seeding the pseudo-cost table with real
 // per-unit gains before the first branching decision. Runs on the shared
-// master (probe rows are parked again afterwards and the master is
-// re-solved back to its root state), so it is identical across thread
-// counts and batch sizes.
+// master: probe rows are parked again afterwards and the master is
+// re-solved back to its root state.
 void strong_branch_root(Search& search,
                         const release::FractionalSolution& root) {
   const int probes = search.options.strong_branching_probes;
@@ -653,7 +637,7 @@ void strong_branch_root(Search& search,
         // any other — future children re-activating this literal are
         // pruned without an LP.
         probe_path.assign(1, {row, rhs});
-        search.learn_from(sol, probe_path, search.pred_by_row);
+        search.learn_from(sol, probe_path);
         objective = root.objective + gain_cap;
       } else if (sol.feasible) {
         objective = sol.objective;
@@ -667,8 +651,8 @@ void strong_branch_root(Search& search,
     }
   }
   if (touched) {
-    // Re-solve the all-neutral master so the retained basis (the clone
-    // snapshot seed) is root-optimal again. The cap row must be parked
+    // Re-solve the all-neutral master so the retained basis (the first
+    // node's warm start) is root-optimal again. The cap row must be parked
     // with the probe rows: a root whose LP gap to the incumbent is
     // inside the cap quantum would otherwise make this very re-solve
     // infeasible.
@@ -679,14 +663,18 @@ void strong_branch_root(Search& search,
   }
 }
 
-// Classic serial driver (node_batch == 1, threads == 1): every node
-// re-solves the one shared master in place — each node sees all columns
-// priced before it, and sibling hops reuse the previous node's basis.
+// The search driver: every node re-solves the one shared master in
+// place — each node sees all columns priced before it, and sibling hops
+// reuse the previous node's basis.
 void run_serial(Search& search, const Stopwatch& watch) {
   BnpResult& result = search.result;
   NodeTree& tree = search.tree;
   std::vector<std::pair<int, double>> path;
   std::vector<int> active;
+  // Rows active at the previously evaluated node, sorted — the
+  // activation diff binary-searches and reserves instead of scanning
+  // every materialized row.
+  std::vector<int> previously_active;
   // A certified-infeasible node leaves the engine without an optimal
   // basis, so the *next* re-solve may legitimately re-enter phase 1 —
   // the one excusable departure from the dual warm path.
@@ -712,7 +700,7 @@ void run_serial(Search& search, const Stopwatch& watch) {
     // diff against the previously active node is touched, so activation
     // costs O(path log path) rather than O(all rows) per node.
     search.node_path(id, path, active);
-    for (const int row : search.previously_active) {
+    for (const int row : previously_active) {
       if (!std::binary_search(active.begin(), active.end(), row)) {
         search.solver.deactivate_branch_row(row);
       }
@@ -720,7 +708,7 @@ void run_serial(Search& search, const Stopwatch& watch) {
     for (const auto& [row, rhs] : path) {
       search.solver.set_branch_row_rhs(row, rhs);
     }
-    search.previously_active = std::move(active);
+    previously_active = std::move(active);
     active = {};
     const bool capped = search.cap_mode();
     search.solver.set_node_cutoff(
@@ -755,196 +743,12 @@ void run_serial(Search& search, const Stopwatch& watch) {
       continue;  // certified: the subtree cannot beat the incumbent
     }
     if (sol.status == lp::SolveStatus::Infeasible) {  // certified
-      search.learn_from(sol, path, search.pred_by_row);
+      search.learn_from(sol, path);
       continue;
     }
     if (!sol.feasible) {
       // IterationLimit is "unknown", not "proven empty": stop with the
       // bracket rather than mis-prune.
-      search.stalled = true;
-      search.stalled_bound = tree.node(id).bound;
-      break;
-    }
-    search.observe_gain(id, sol.objective);
-    search.process(id, sol);
-  }
-}
-
-// Batch-synchronous driver: pop the top-B open nodes, evaluate them
-// concurrently on per-node clones of the frozen master, then merge
-// children, incumbents, pseudo costs and priced columns back in node-id
-// order. Deterministic for any thread count at a fixed B (see
-// bnp/worker_pool); the master's own rows stay permanently neutral.
-void run_batched(Search& search, const Stopwatch& watch, int batch_size) {
-  BnpResult& result = search.result;
-  NodeTree& tree = search.tree;
-  BnpWorkerPool pool(search.options.threads);
-  std::vector<int> ids;
-  std::vector<NodeTask> tasks;
-  std::vector<int> active_scratch;
-  while (!tree.done()) {
-    if (result.nodes >= search.options.budget.max_nodes) {
-      result.status = BnpStatus::NodeLimit;
-      break;
-    }
-    if (search.options.budget.max_seconds > 0.0 &&
-        watch.seconds() > search.options.budget.max_seconds) {
-      result.status = BnpStatus::TimeLimit;
-      break;
-    }
-    search.observe_bound();  // once per batch round: the batch analogue
-    const std::size_t allowance = std::min(
-        static_cast<std::size_t>(batch_size),
-        search.options.budget.max_nodes - result.nodes);
-    ids.clear();
-    tasks.clear();
-    while (ids.size() < allowance) {
-      const std::optional<int> popped = tree.pop_best();
-      if (!popped) break;
-      if (tree.node(*popped).bound >= tree.incumbent() - 0.5) continue;
-      ids.push_back(*popped);
-      tasks.emplace_back();
-      search.node_path(*popped, tasks.back().path, active_scratch);
-    }
-    if (ids.empty()) break;
-
-    // In cap mode the cap is frozen per round alongside the incumbent
-    // (it is a function of the tree at the pop boundary), so every
-    // worker sees the same rhs regardless of thread count.
-    const std::optional<double> height_cap =
-        search.cap_mode() ? std::optional<double>(search.cap_rhs())
-                          : std::nullopt;
-    const std::vector<NodeEvaluation> evals = pool.evaluate(
-        search.solver, tasks, search.cutoff(), height_cap);
-    ++result.batches;
-
-    // Merge in pop order (best bound first, newest node first on ties —
-    // the order the serial driver would process them in); each eval only
-    // depends on its own task, so the merge is deterministic for any
-    // thread count.
-    for (std::size_t i = 0; i < ids.size(); ++i) {
-      const int id = ids[i];
-      const NodeEvaluation& eval = evals[i];
-      ++result.nodes;
-      accumulate(result, eval.solution);
-      accumulate(result, eval.pricing);
-      result.node_retries += eval.retries;
-      for (const release::AdoptableColumn& col : eval.new_columns) {
-        (void)search.solver.adopt_column(col.config, col.phase);
-      }
-      const release::FractionalSolution& sol = eval.solution;
-      if (sol.cutoff_pruned) {
-        ++result.cutoff_pruned_nodes;
-        continue;
-      }
-      if (sol.status == lp::SolveStatus::Infeasible) {
-        // Clones share the master's row indices, so the task's path and
-        // the projection line up; learning here — inside the pop-ordered
-        // merge loop — keeps the store identical across thread counts.
-        search.learn_from(sol, tasks[i].path, search.pred_by_row);
-        continue;
-      }
-      if (!sol.feasible) {
-        search.stalled = true;
-        // The whole remainder of the batch leaves the open set here; fold
-        // every unprocessed bound into the bracket so the reported dual
-        // bound never overclaims.
-        for (std::size_t k = i; k < ids.size(); ++k) {
-          search.stalled_bound =
-              std::min(search.stalled_bound, tree.node(ids[k]).bound);
-        }
-        break;
-      }
-      // Nodes evaluated against the frozen incumbent may be prunable by a
-      // sibling's incumbent found in this very batch; process() handles
-      // that through its bound check (deterministically — merge order).
-      search.observe_gain(id, sol.objective);
-      search.process(id, sol);
-    }
-    if (search.stalled) break;
-
-    // Refresh the master every batch: pick up adopted columns and
-    // freshly materialized (neutral) child rows, and leave a root-optimal
-    // basis as the next batch's clone snapshot.
-    search.solver.set_node_cutoff(std::numeric_limits<double>::infinity());
-    const release::FractionalSolution refreshed = search.solver.resolve();
-    accumulate(result, refreshed);
-    STRIPACK_ASSERT(warm_path_ok(refreshed),
-                    "master refresh left the warm path");
-  }
-}
-
-// Cold baseline driver (reuse_engine == false): a fresh master built and
-// cold-solved at every node — BM_BranchAndPrice's comparison arm.
-void run_cold(Search& search, const Stopwatch& watch) {
-  BnpResult& result = search.result;
-  NodeTree& tree = search.tree;
-  while (!tree.done()) {
-    if (result.nodes >= search.options.budget.max_nodes) {
-      result.status = BnpStatus::NodeLimit;
-      break;
-    }
-    if (search.options.budget.max_seconds > 0.0 &&
-        watch.seconds() > search.options.budget.max_seconds) {
-      result.status = BnpStatus::TimeLimit;
-      break;
-    }
-    search.observe_bound();
-    const std::optional<int> popped = tree.pop_best();
-    if (!popped) break;
-    const int id = *popped;
-    if (tree.node(id).bound >= tree.incumbent() - 0.5) continue;
-    ++result.nodes;
-
-    release::ConfigLpSolver fresh(search.problem, search.options.lp);
-    release::FractionalSolution fresh_root = fresh.solve();
-    accumulate(result, fresh_root);
-    if (!fresh_root.feasible) {
-      search.stalled = true;
-      search.stalled_bound = tree.node(id).bound;
-      break;
-    }
-    std::set<RowKey> seen;
-    // The fresh master's row indices are node-local; carry a local path
-    // and row map so learning can still translate its Farkas projection.
-    std::vector<std::pair<int, double>> cold_path;
-    std::map<int, std::pair<release::BranchPredicate, lp::Sense>> cold_rows;
-    for (int n = id; tree.node(n).parent >= 0; n = tree.node(n).parent) {
-      const BranchDecision& d = tree.node(n).decision;
-      if (seen.insert(row_key(d)).second) {
-        const int row = fresh.add_branch_row(d.pred, d.sense, d.rhs);
-        cold_path.push_back({row, d.rhs});
-        cold_rows.emplace(row, std::make_pair(d.pred, d.sense));
-      }
-    }
-    result.branch_rows = std::max(result.branch_rows, seen.size());
-    const bool capped = search.cap_mode();
-    if (capped) fresh.ensure_height_cap_row();
-    fresh.set_node_cutoff(capped
-                              ? std::numeric_limits<double>::infinity()
-                              : search.cutoff());
-    release::FractionalSolution sol =
-        capped ? fresh.resolve_with_height_cap(search.cap_rhs())
-               : fresh.resolve();
-    if (capped && !sol.feasible &&
-        sol.status != lp::SolveStatus::Infeasible) {
-      // Same verdict-less fallback as the serial driver.
-      fresh.clear_height_cap();
-      fresh.set_node_cutoff(search.cutoff());
-      sol = fresh.resolve();
-    }
-    accumulate(result, sol);
-    accumulate(result, fresh.pricing_stats());
-
-    if (sol.cutoff_pruned) {
-      ++result.cutoff_pruned_nodes;
-      continue;
-    }
-    if (sol.status == lp::SolveStatus::Infeasible) {
-      search.learn_from(sol, cold_path, cold_rows);
-      continue;
-    }
-    if (!sol.feasible) {
       search.stalled = true;
       search.stalled_bound = tree.node(id).bound;
       break;
@@ -963,9 +767,6 @@ BnpResult solve_impl(const Instance& instance, const BnpOptions& options,
   instance.check_well_formed();
   STRIPACK_EXPECTS(!instance.empty());
   STRIPACK_EXPECTS(!instance.has_precedence());
-  STRIPACK_EXPECTS(options.threads >= 0);
-  STRIPACK_EXPECTS(options.node_batch >= 0);
-  STRIPACK_EXPECTS(master == nullptr || options.reuse_engine);
   for (const Item& it : instance.items()) {
     STRIPACK_EXPECTS(near_int(it.height(), 1e-6));
     STRIPACK_EXPECTS(near_int(it.release, 1e-6));
@@ -975,24 +776,16 @@ BnpResult solve_impl(const Instance& instance, const BnpOptions& options,
   const double rho_r = problem.releases.back();
 
   BnpOptions local = options;
-  // The pattern cache lives inside the ConfigLpSolver (and its clones).
+  // The pattern cache lives inside the ConfigLpSolver.
   local.lp.use_pricing_cache =
       options.pricing_cache && local.lp.use_column_generation;
-  const int threads = local.threads == 0
-                          ? static_cast<int>(std::max(
-                                1u, std::thread::hardware_concurrency()))
-                          : local.threads;
-  int batch = local.node_batch;
-  if (batch == 0) batch = threads > 1 ? 4 * threads : 1;
-  const bool batch_mode =
-      local.reuse_engine && (batch > 1 || threads > 1);
 
   // Anytime deadline: a watchdog thread trips the stop token once the
   // wall clock passes the budget (or the caller's own stop flag flips),
   // and the token is threaded into every LP (re-)solve — so the deadline
   // interrupts at *pivot boundaries* inside a node LP, not just between
   // nodes. An interrupted LP reports IterationLimit (no certificate); the
-  // drivers fold the node's pre-solve tree bound into the bracket, so
+  // driver folds the node's pre-solve tree bound into the bracket, so
   // `dual_bound` stays valid on every exit path.
   std::atomic<bool> stop_flag{false};
   struct Watchdog {
@@ -1069,8 +862,7 @@ BnpResult solve_impl(const Instance& instance, const BnpOptions& options,
     search.nogoods.emplace(local.nogood_capacity);
     search.propagator.emplace(problem, local.tol);
     // Materialize the (parked) cap row before any node is evaluated:
-    // activation is then a pure rhs change on the dual warm path, and
-    // batch clones inherit the row at a fixed index from the snapshot.
+    // activation is then a pure rhs change on the dual warm path.
     if (local.conflict_cutoff_cap) solver.ensure_height_cap_row();
   }
   BnpResult& result = search.result;
@@ -1104,22 +896,14 @@ BnpResult solve_impl(const Instance& instance, const BnpOptions& options,
   result.nodes = 1;
   (void)search.tree.pop_best();  // the root: its LP is the solve above
   if (root.feasible) {
-    if (local.reuse_engine) strong_branch_root(search, root);
+    strong_branch_root(search, root);
     search.process(0, root);
   } else {
     search.stalled = true;
     search.stalled_bound = search.tree.node(0).bound;
   }
 
-  if (!search.stalled) {
-    if (!local.reuse_engine) {
-      run_cold(search, watch);
-    } else if (batch_mode) {
-      run_batched(search, watch, batch);
-    } else {
-      run_serial(search, watch);
-    }
-  }
+  if (!search.stalled) run_serial(search, watch);
 
   result.nodes_created = search.tree.created();
   if (search.nogoods) {
@@ -1128,13 +912,8 @@ BnpResult solve_impl(const Instance& instance, const BnpOptions& options,
     result.nogoods_evicted = search.nogoods->evicted();
     result.nogood_store_size = search.nogoods->size();
   }
-  // Warm mode materializes rows once in the shared master; cold mode
-  // reports the deepest per-node row count instead.
-  result.branch_rows =
-      std::max(result.branch_rows, search.row_by_key.size());
-  if (local.reuse_engine) {
-    accumulate(result, solver.pricing_stats());
-  }
+  result.branch_rows = search.row_by_key.size();
+  accumulate(result, solver.pricing_stats());
   if (search.stalled) {
     // A stall caused by the deadline tripping mid-LP (the interrupted
     // solve reports no certificate, exactly like a numerical stall) is a

@@ -25,7 +25,11 @@
 // (never a cold solve; `warm_phase1_iterations` stays 0) — with
 // Ryan–Foster-style branching on fractional configuration pairs, exact
 // single-pattern branching as the completeness fallback, and dual bounds
-// rounded up to integers (the height-cap branch folded into pruning). In
+// rounded up to integers (the height-cap branch folded into pruning).
+// Without the cutoff-as-constraint cap, node re-solves stop as soon as
+// they can prove the node cannot beat the incumbent (the Lagrangian
+// cutoff: dual objective monotonicity in enumeration mode, Farley's
+// bound between pricing rounds in column-generation mode). In
 // column-generation mode an infeasible branched master goes through
 // *Farkas pricing* (columns generated against the engine's infeasibility
 // certificate), so node pruning only ever acts on verdicts certified for
@@ -66,37 +70,17 @@ struct BnpOptions {
   /// branch-and-price shape, with Farkas pricing at infeasible nodes);
   /// disabling it enumerates every configuration up front instead.
   /// `lp.backend` picks the master's `lp::LpBackend` from the registry
-  /// ("simplex" production engine, "dense" reference tableau) — node
-  /// clones inherit it, so the whole tree re-solves on one implementation.
+  /// ("simplex" production engine, "dense" reference tableau); every node
+  /// re-solves on that one master.
   release::ConfigLpOptions lp{.use_column_generation = true};
   SearchBudget budget;
   /// Seed the incumbent from the rounded root LP (floor early-phase
   /// supply, ceil phase-R, repair the lost coverage with phase-R
   /// singletons) instead of only the trivial stack-everything solution.
   bool rounding_incumbent = true;
-  /// Share one warm `ConfigLpSolver` engine across all nodes (the
-  /// default); false re-builds and cold-solves the master at every node —
-  /// the baseline `BM_BranchAndPrice` compares against.
-  bool reuse_engine = true;
-  /// Worker threads for batch node evaluation (requires `reuse_engine`):
-  /// 1 = serial (the default), 0 = hardware concurrency. For a fixed
-  /// `node_batch`, every thread count produces the bit-identical search
-  /// (tree, bounds, slices, packing) — see bnp/worker_pool.
-  int threads = 1;
-  /// Nodes per batch-synchronous round. 1 (with threads == 1) keeps the
-  /// classic serial semantics: each node re-solves the one shared master
-  /// in place, seeing every previously priced column. Larger batches
-  /// evaluate the top-B open nodes against a master snapshot *frozen at
-  /// the batch start* (on per-node clones) and merge children, incumbents
-  /// and priced columns back in pop order — the explored tree may
-  /// differ from B = 1 (that is the price of parallel evaluation), but is
-  /// identical for every thread count at the same B. 0 picks
-  /// automatically: 1 when threads == 1, else 4 * threads.
-  int node_batch = 0;
   /// Memoized pricing: maintain a cross-node pattern cache inside the
-  /// master (and every worker clone) that warm-seeds the exact pricing
-  /// DFS. Pricing stays exact; expansions drop sharply (see
-  /// `pricing_dfs_expansions`).
+  /// master that warm-seeds the exact pricing DFS. Pricing stays exact;
+  /// expansions drop sharply (see `pricing_dfs_expansions`).
   bool pricing_cache = true;
   /// Pseudo-cost branching: score fractional pair totals by observed
   /// per-unit dual-bound gains (initialized by strong branching at the
@@ -107,29 +91,22 @@ struct BnpOptions {
   /// costs. 0 disables (pseudo costs then start from search observations
   /// only).
   int strong_branching_probes = 4;
-  /// Lagrangian early termination: node re-solves stop as soon as they
-  /// can *prove* the node's LP optimum cannot beat the incumbent (dual
-  /// objective monotonicity in enumeration mode, Farley's bound between
-  /// pricing rounds in column-generation mode).
-  bool lagrangian_pruning = true;
   /// Conflict learning (bnp/conflicts): project the Farkas certificate
   /// of every certified-infeasible node onto its active branch rows,
   /// store the nonzero-multiplier literals as a nogood, and prune
   /// children — by structural propagation and by nogood lookup — before
-  /// they are enqueued, without touching the LP. Exactness-preserving
-  /// (only certified-empty subtrees are cut) and deterministic across
-  /// thread counts (the store is touched only in the serial merge
-  /// order).
+  /// they are enqueued, without touching the LP. Exactness-preserving:
+  /// only certified-empty subtrees are cut.
   bool use_conflicts = true;
   /// Cutoff-as-constraint (only meaningful with `use_conflicts`): node
   /// masters are re-solved under a height-cap row at `incumbent - 0.9`
   /// (`ConfigLpSolver::resolve_with_height_cap`) instead of the bare
-  /// Lagrangian cutoff comparison. A node that cannot beat the
-  /// incumbent then comes back *certified infeasible* with a Farkas
-  /// certificate — raw material for the explanation extractor — rather
-  /// than silently cutoff-pruned, so one pruned node generalizes into a
-  /// nogood that prunes sibling subtrees LP-free. Exact for the same
-  /// reason the Lagrangian cutoff is: objectives are integral, so any
+  /// Lagrangian cutoff comparison (see the file header). A node that
+  /// cannot beat the incumbent then comes back *certified infeasible* with
+  /// a Farkas certificate — raw material for the explanation extractor —
+  /// rather than silently cutoff-pruned, so one pruned node generalizes
+  /// into a nogood that prunes sibling subtrees LP-free. Exact for the
+  /// same reason the Lagrangian cutoff is: objectives are integral, so any
   /// integral objective above `incumbent - 0.9` is already >= incumbent
   /// (the tighter quantum converts the half-integer LP landings the
   /// -0.4 cutoff leaves feasible into certificates).
@@ -142,11 +119,10 @@ struct BnpOptions {
   /// Auto-gate for pseudo-cost branching (the n=120 regression fix):
   /// fall back to most-fractional selection once the proven dual bound
   /// has sat still for this many consecutive observations — one per
-  /// node on the serial/cold paths, one per batch-synchronous round —
-  /// and re-engage the moment the bound moves again. Gain observation
-  /// never stops, so the table stays warm for the re-engage. 0 leaves
-  /// pseudo costs permanently on. Deterministic: the gate is a function
-  /// of tree state at (batch) boundaries only.
+  /// node — and re-engage the moment the bound moves again. Gain
+  /// observation never stops, so the table stays warm for the re-engage.
+  /// 0 leaves pseudo costs permanently on. Deterministic: the gate is a
+  /// function of tree state at node boundaries only.
   int pseudo_cost_stall_gate = 32;
   /// Recognition tolerance for integrality of pattern totals.
   double tol = 1e-6;
@@ -180,28 +156,26 @@ struct BnpResult {
   std::int64_t lp_iterations = 0;
   std::int64_t dual_iterations = 0;
   /// Phase-1 pivots across all warm node re-solves: 0 on the warm path
-  /// (asserted internally when `reuse_engine` runs serially; worker
-  /// clones may fall back to a cold start if a snapshot basis fails to
-  /// load, which is deterministic and merely slower).
+  /// (asserted internally, except after a certified-infeasible node, a
+  /// Farkas repair, a recovery-ladder cold restart or a backend
+  /// failover, which may legitimately re-enter phase 1).
   std::int64_t warm_phase1_iterations = 0;
   int farkas_rounds = 0;
   std::size_t farkas_columns = 0;
-  /// Batch-synchronous rounds executed (0 on the classic serial path).
-  std::size_t batches = 0;
   /// Nodes pruned by the Lagrangian early-termination bound before their
   /// LP was solved to optimality.
   std::size_t cutoff_pruned_nodes = 0;
   /// Root strong-branching child LPs solved to initialize pseudo costs.
   std::size_t strong_branch_probes = 0;
   /// Recovery / anytime diagnostics: recovery-ladder activity summed over
-  /// every LP (re-)solve (see `release::FractionalSolution`), master
-  /// backend failovers, and batch-mode node evaluations retried from a
-  /// fresh clone of the frozen snapshot after a transient failure. All
-  /// zero on a numerically clean run.
+  /// every LP (re-)solve (see `release::FractionalSolution`) and master
+  /// backend failovers. All zero on a numerically clean run.
   int lp_refactor_retries = 0;
   int lp_residual_repairs = 0;
   int lp_cold_restarts = 0;
   int master_failovers = 0;
+  /// Always 0 since the batch search was removed; kept because
+  /// `perfbench/driver/deep_proof.cpp` sums it into its recovery events.
   int node_retries = 0;
   /// Dual-simplex anti-cycling engagements (Bland leaving-row fallback,
   /// see `lp::SimplexEngine::solve_dual`), summed over every LP re-solve.
@@ -215,7 +189,7 @@ struct BnpResult {
   std::size_t nogoods_subsumed = 0;     // rejected or absorbed learns
   std::size_t nogoods_evicted = 0;      // capacity evictions
   std::size_t nogood_store_size = 0;    // store size at the end
-  // Memoized-pricing counters, summed over the master and every clone.
+  // Memoized-pricing counters of the master.
   std::int64_t pricing_dfs_expansions = 0;
   std::int64_t pricing_row_tests = 0;  // branch-row predicate tests
   std::int64_t pricing_cache_probes = 0;
@@ -248,11 +222,10 @@ struct BnpResult {
 /// from the previous request's basis, reusing the whole column pool,
 /// materialized branch rows (deduplicated by predicate, re-parked
 /// per request) and pricing-cache entries. On a never-solved master the
-/// first request performs the cold solve. Requires
-/// `options.reuse_engine`; `options.lp` is ignored in favor of the
-/// master's own configuration, except that the anytime stop token is
-/// installed via `ConfigLpSolver::set_stop` for the duration of the
-/// call. Same anytime contract as `solve`.
+/// first request performs the cold solve. `options.lp` is ignored in
+/// favor of the master's own configuration, except that the anytime stop
+/// token is installed via `ConfigLpSolver::set_stop` for the duration of
+/// the call. Same anytime contract as `solve`.
 [[nodiscard]] BnpResult solve_warm(const Instance& instance,
                                    const BnpOptions& options,
                                    release::ConfigLpSolver& master);

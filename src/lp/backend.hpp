@@ -4,11 +4,11 @@
 // at the `ConfigLpSolver` seam — cold/warm `solve`, `solve_dual` with an
 // objective cutoff and a Farkas certificate on infeasibility, `sync_rows`
 // with the rhs-only fast path, `sync_columns` for column generation, and
-// explicit basis handoff (`load_basis` in, `Solution::basis` out, which is
-// also how branch-and-price clones a node: re-create the backend with
-// `SimplexOptions::initial_basis`). Every registered backend must honor
-// the full contract; `tests/backend_conformance_test.cpp` is the
-// executable statement of it and runs against the whole registry.
+// explicit basis handoff (`load_basis` in, `Solution::basis` out; a
+// backend re-created with `SimplexOptions::initial_basis` warm-starts from
+// it). Every registered backend must honor the full contract;
+// `tests/backend_conformance_test.cpp` is the executable statement of it
+// and runs against the whole registry.
 //
 // Two backends ship:
 //  - "simplex": the production eta-file `SimplexEngine` (the default).

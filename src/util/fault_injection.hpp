@@ -22,7 +22,8 @@
 // costs one pointer compare per site when absent. Plans are generated
 // deterministically from a seed (`FaultPlan::random`), so every recovery
 // path is reproducible in tests; `poll` is thread-safe (atomic counters,
-// exactly-once claims) so one injector can serve cloned node masters.
+// exactly-once claims) so one injector can serve LP solves running on
+// several threads (e.g. service workers sharing one `BnpOptions`).
 #pragma once
 
 #include <array>
@@ -77,7 +78,7 @@ struct FaultPlan {
 };
 
 /// Installs a `FaultPlan` behind `SimplexOptions::fault`. Thread-safe:
-/// each event is claimed exactly once even when cloned engines poll
+/// each event is claimed exactly once even when several engines poll
 /// concurrently.
 class FaultInjector {
  public:

@@ -2,10 +2,10 @@
 //
 // `parallel_for` used to spawn and join fresh std::threads on every call —
 // roughly 100us of overhead per invocation, which forced hot paths (the
-// LP pricing scans, and now the branch-and-price node batches) to gate on
-// large work sizes. `ThreadPool` keeps a fixed set of workers alive and
-// feeds them static contiguous chunks, so repeated parallel sections cost
-// a condition-variable wake instead of thread creation.
+// LP pricing scans) to gate on large work sizes. `ThreadPool` keeps a
+// fixed set of workers alive and feeds them static contiguous chunks, so
+// repeated parallel sections cost a condition-variable wake instead of
+// thread creation.
 //
 // Determinism contract (same as parallel_for, per docs/ARCHITECTURE.md):
 // the split of [0, n) into chunks depends only on (n, workers) — never on

@@ -1,11 +1,10 @@
 // Randomized kill sweep for the branch-and-price anytime contract
 // (bnp/solver.hpp): whatever interrupts the search — a wall-clock
-// deadline tripping mid-LP, a stop token injected at a random pivot, a
-// caller-side cancellation, or faults racing the kill — every exit must
-// carry the best incumbent, a still-valid dual bound
-// (dual_bound <= optimum <= height), a feasible realized packing, and a
-// documented status. Deterministic kills (TripStop plans) must also
-// replay bit-identically.
+// deadline tripping mid-LP, a stop token injected at a random pivot, or
+// a caller-side cancellation — every exit must carry the best incumbent,
+// a still-valid dual bound (dual_bound <= optimum <= height), a feasible
+// realized packing, and a documented status. Deterministic kills
+// (TripStop plans) must also replay bit-identically.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -122,28 +121,6 @@ TEST(BnpKillSweep, PreTrippedCallerStopExitsCleanly) {
     options.lp.stop = &cancelled;
     const BnpResult result = solve(w.family.instance, options);
     expect_contract(w, result, w.tag + " pre-tripped stop");
-  }
-}
-
-// Kills racing injected faults in batch-parallel mode: stop tokens,
-// throws and bad pivots land while worker clones evaluate nodes. Statuses
-// may vary run to run (wall-clock free, but the fault counters interleave
-// across threads) — the contract may not.
-TEST(BnpKillSweep, ParallelKillsWithFaultsKeepContract) {
-  for (const Workload& w : workloads()) {
-    for (int seed = 1; seed <= 6; ++seed) {
-      const FaultPlan plan = FaultPlan::random(
-          static_cast<std::uint64_t>(7000 + seed), 5, 200);
-      FaultInjector injector(plan);
-      BnpOptions options;
-      options.lp.use_column_generation = true;
-      options.lp.fault = &injector;
-      options.threads = 2;
-      options.node_batch = 4;
-      const BnpResult result = solve(w.family.instance, options);
-      expect_contract(w, result,
-                      w.tag + " parallel seed " + std::to_string(seed));
-    }
   }
 }
 

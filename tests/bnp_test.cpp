@@ -1,10 +1,11 @@
 // Branch-and-price solver mechanics: certified optima on gap families,
-// warm-path invariants, budgets, node tree determinism, and the packer
-// adapter. Cross-validation against the other exact solvers lives in
-// bnp_exact_cross_test.cpp.
+// warm-path invariants, budgets, node tree determinism, the pricing cache
+// and pseudo-cost branching, and the packer adapter. Cross-validation
+// against the other exact solvers lives in bnp_exact_cross_test.cpp.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -27,6 +28,38 @@ Instance integer_instance(
   std::vector<Item> out;
   for (const auto& [w, h, r] : items) out.push_back(Item{Rect{w, h}, r});
   return Instance(std::move(out));
+}
+
+// Integer-height, integer-release workloads whose widths sit in the
+// two-to-three-per-column regime — persistent fractionality, so the
+// searches genuinely branch (trees of a few dozen nodes each; probed).
+Instance seeded_instance(std::uint64_t seed, std::size_t n, int w_lo,
+                         int w_hi, int h_max, int r_max) {
+  Rng rng(seed);
+  std::vector<Item> items;
+  for (std::size_t i = 0; i < n; ++i) {
+    const double w = static_cast<double>(rng.uniform_int(w_lo, w_hi)) / 100.0;
+    const double h = static_cast<double>(rng.uniform_int(1, h_max));
+    const double r =
+        r_max > 0 ? static_cast<double>(rng.uniform_int(0, r_max)) : 0.0;
+    items.push_back(Item{Rect{w, h}, r});
+  }
+  return Instance(std::move(items), 1.0);
+}
+
+// The sweep: triple-regime and mixed-width workloads plus hard_integral
+// gap families, including the release-wave variants (bursts > 1) whose
+// gap survives phasing.
+std::vector<Instance> sweep_instances() {
+  std::vector<Instance> out;
+  out.push_back(seeded_instance(3, 20, 27, 39, 1, 0));
+  out.push_back(seeded_instance(7, 20, 27, 39, 1, 0));
+  out.push_back(seeded_instance(11, 20, 27, 39, 2, 2));
+  out.push_back(seeded_instance(23, 20, 27, 39, 2, 2));
+  out.push_back(seeded_instance(23, 18, 21, 55, 1, 2));
+  out.push_back(gen::hard_integral_family(2).instance);
+  out.push_back(gen::hard_integral_family(2, 3, 4.0).instance);
+  return out;
 }
 
 TEST(NodeTree, BestFirstWithNewestFirstTies) {
@@ -179,20 +212,6 @@ TEST(Bnp, PseudoCostStallGateKeepsCertifiedOptima) {
   }
 }
 
-TEST(Bnp, ColdNodeSolvesMatchTheWarmPath) {
-  const auto family = gen::hard_integral_family(3);
-  BnpOptions warm;
-  warm.rounding_incumbent = false;
-  BnpOptions cold = warm;
-  cold.reuse_engine = false;
-  const BnpResult a = solve(family.instance, warm);
-  const BnpResult b = solve(family.instance, cold);
-  ASSERT_EQ(a.status, BnpStatus::Optimal);
-  ASSERT_EQ(b.status, BnpStatus::Optimal);
-  EXPECT_NEAR(a.height, b.height, kTol);
-  EXPECT_NEAR(a.height, family.certificate.ip_height, kTol);
-}
-
 TEST(Bnp, DenseMasterBackendProvesTheSameOptima) {
   // The master LP runs on the reference dense-tableau backend instead of
   // the eta-file engine; branch and price must reach the same certified
@@ -223,6 +242,71 @@ TEST(Bnp, NodeBudgetReturnsABracket) {
   EXPECT_LE(result.dual_bound, family.certificate.ip_height + kTol);
   EXPECT_TRUE(
       testing::placement_valid(family.instance, result.packing.placement));
+}
+
+TEST(Bnp, BudgetedRunsKeepValidBrackets) {
+  // A node budget smaller than the tree must yield NodeLimit with a
+  // bracket that still sandwiches the true optimum, with the search
+  // stopped partway through the tree (budget 6 of 10 nodes).
+  const Instance ins = seeded_instance(3, 20, 27, 39, 1, 0);
+  BnpOptions exact;
+  exact.rounding_incumbent = false;
+  const BnpResult truth = solve(ins, exact);
+  ASSERT_EQ(truth.status, BnpStatus::Optimal);
+  ASSERT_GT(truth.nodes, 8u);  // the budget below must genuinely bite
+  BnpOptions options = exact;
+  options.budget.max_nodes = 6;
+  const BnpResult result = solve(ins, options);
+  EXPECT_EQ(result.status, BnpStatus::NodeLimit);
+  EXPECT_LE(result.dual_bound, result.height + kTol);
+  EXPECT_GE(result.height, truth.height - kTol);
+  EXPECT_LE(result.dual_bound, truth.height + kTol);
+  EXPECT_TRUE(testing::placement_valid(ins, result.packing.placement));
+}
+
+TEST(Bnp, PricingCacheKeepsCertifiedQuantities) {
+  // Memoized pricing only seeds the exact DFS; status, height and dual
+  // bound must match the uncached run on the whole sweep, while the DFS
+  // expansion count drops.
+  std::int64_t cached_expansions = 0;
+  std::int64_t uncached_expansions = 0;
+  for (const Instance& ins : sweep_instances()) {
+    BnpOptions with_cache;
+    with_cache.rounding_incumbent = false;
+    BnpOptions without_cache = with_cache;
+    without_cache.pricing_cache = false;
+    const BnpResult a = solve(ins, with_cache);
+    const BnpResult b = solve(ins, without_cache);
+    EXPECT_EQ(a.status, b.status);
+    EXPECT_NEAR(a.height, b.height, kTol);
+    EXPECT_NEAR(a.dual_bound, b.dual_bound, kTol);
+    cached_expansions += a.pricing_dfs_expansions;
+    uncached_expansions += b.pricing_dfs_expansions;
+    EXPECT_GT(a.pricing_cache_probes, 0) << "cache never probed";
+  }
+  EXPECT_GT(uncached_expansions, 0);
+  // The committed target: >= 30% fewer DFS expansions with memoized
+  // pricing on (the bench records the exact ratio per size).
+  EXPECT_LT(static_cast<double>(cached_expansions),
+            0.7 * static_cast<double>(uncached_expansions));
+}
+
+TEST(Bnp, PseudoCostBranchingStaysExactOnGapFamilies) {
+  // The gap families need genuine branching to close their LP/IP gap; the
+  // pseudo-cost selector (strong-branching seeded) must still certify.
+  for (std::size_t k = 1; k <= 4; ++k) {
+    const auto family = gen::hard_integral_family(k);
+    for (const bool pseudo : {true, false}) {
+      BnpOptions options;
+      options.rounding_incumbent = false;
+      options.pseudo_cost_branching = pseudo;
+      const BnpResult result = solve(family.instance, options);
+      EXPECT_EQ(result.status, BnpStatus::Optimal) << "k=" << k;
+      EXPECT_NEAR(result.height, family.certificate.ip_height, kTol)
+          << "k=" << k << " pseudo=" << pseudo;
+      EXPECT_NEAR(result.dual_bound, result.height, kTol);
+    }
+  }
 }
 
 TEST(Bnp, SeededReleaseWorkloadsAreCertifiedAndRealized) {
