@@ -6,6 +6,7 @@
 // configuration LP vs 1/eps, and the APTAS end to end.
 #include <benchmark/benchmark.h>
 
+#include <cmath>
 #include <cstdint>
 #include <vector>
 
@@ -494,6 +495,36 @@ BENCHMARK(BM_BnpConflictsOff)
     ->Args({3, 0})
     ->Args({4, 4})
     ->Args({4, 5})
+    ->Unit(benchmark::kMillisecond);
+
+void BM_BnpJitteredWide(benchmark::State& state) {
+  // The wide jittered family (k = 12: 50 items, 25 width classes per
+  // wave, spacing k + 2) under default options. Its search is short
+  // (117 nodes) but priced often over a wide width table, so the run
+  // time is mostly the pricing DFS; `dfs_expansions` is the
+  // deterministic count to compare across machines.
+  const std::size_t k = static_cast<std::size_t>(state.range(0));
+  const auto seed = static_cast<std::uint64_t>(state.range(1));
+  const gen::HardIntegralInstance family = gen::hard_integral_jittered(
+      k, 2, static_cast<double>(k) + 2.0, seed);
+  bnp::BnpResult last;
+  for (auto _ : state) {
+    last = bnp::solve(family.instance);
+    benchmark::DoNotOptimize(last);
+  }
+  state.counters["nodes"] = static_cast<double>(last.nodes);
+  state.counters["dfs_expansions"] =
+      static_cast<double>(last.pricing_dfs_expansions);
+  state.counters["height"] = last.height;
+  state.counters["certified"] =
+      last.status == bnp::BnpStatus::Optimal &&
+              std::abs(last.height - family.certificate.ip_height) < 1e-6
+          ? 1.0
+          : 0.0;
+}
+BENCHMARK(BM_BnpJitteredWide)
+    ->ArgNames({"k", "seed"})
+    ->Args({12, 1})
     ->Unit(benchmark::kMillisecond);
 
 void BM_FractionalLowerBoundExact(benchmark::State& state) {

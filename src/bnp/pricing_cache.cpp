@@ -21,6 +21,18 @@ constexpr std::size_t kMemoLimit = 50'000;
 
 }  // namespace
 
+// A zero (or -0.0) multiplier adds nothing to any configuration's value
+// and the DFS never sees the row, so parked rows stay out of the key.
+PricingCache::MemoKey PricingCache::memo_key(
+    std::span<const double> value,
+    std::span<const std::pair<int, double>> applied) {
+  MemoKey key{{value.begin(), value.end()}, {}};
+  for (const auto& r : applied) {
+    if (r.second != 0.0) key.second.push_back(r);
+  }
+  return key;
+}
+
 int PricingCache::insert(std::span<const int> counts, double total_width) {
   const auto it = std::lower_bound(
       by_counts_.begin(), by_counts_.end(), counts,
@@ -38,7 +50,11 @@ int PricingCache::insert(std::span<const int> counts, double total_width) {
   Pattern p;
   p.counts.assign(counts.begin(), counts.end());
   p.total_width = total_width;
-  for (const int c : counts) p.total_items += c;
+  for (std::size_t i = 0; i < counts.size(); ++i) {
+    if (counts[i] == 0) continue;
+    p.terms.push_back({i, counts[i]});
+    p.total_items += counts[i];
+  }
   if (p.total_items == 0) return -1;  // empty configs are never priced
   const int id = static_cast<int>(patterns_.size());
   by_counts_.insert(it, id);
@@ -86,9 +102,7 @@ PricingCache::Seed PricingCache::probe(
   for (std::size_t id = 0; id < patterns_.size(); ++id) {
     Pattern& p = patterns_[id];
     double v = 0.0;
-    for (std::size_t i = 0; i < p.counts.size(); ++i) {
-      if (p.counts[i] != 0) v += p.counts[i] * value[i];
-    }
+    for (const auto& [i, c] : p.terms) v += c * value[i];
     if (!applied_scratch_.empty()) {
       ensure_match_bits(p);
       for (const auto& [k, mult] : applied_scratch_) {
@@ -108,9 +122,7 @@ std::optional<PricingCache::Seed> PricingCache::lookup(
     std::span<const double> value,
     std::span<const std::pair<int, double>> applied) {
   if (memo_.empty()) return std::nullopt;
-  const MemoKey key{{value.begin(), value.end()},
-                    {applied.begin(), applied.end()}};
-  const auto it = memo_.find(key);
+  const auto it = memo_.find(memo_key(value, applied));
   if (it == memo_.end()) return std::nullopt;
   ++memo_hits_;
   return it->second;
@@ -120,9 +132,7 @@ void PricingCache::memoize(std::span<const double> value,
                            std::span<const std::pair<int, double>> applied,
                            const Seed& result) {
   if (memo_.size() >= kMemoLimit) memo_.clear();
-  memo_.emplace(MemoKey{{value.begin(), value.end()},
-                        {applied.begin(), applied.end()}},
-                result);
+  memo_.emplace(memo_key(value, applied), result);
 }
 
 }  // namespace stripack::bnp

@@ -6,8 +6,8 @@
 // branch-and-bound node the duals change but the *combinatorial space*
 // does not: the same few dozen to few thousand patterns keep winning. The
 // cache interns every pattern (counts vector) the search has ever priced
-// or adopted, scores them all in O(patterns * W) against the node's duals
-// — a width-indexed dot product per pattern — and hands the best one to
+// or adopted, scores them all against the node's duals — a dot product
+// over each pattern's nonzero counts — and hands the best one to
 // the DFS as a warm incumbent. The DFS then prunes every subtree that
 // cannot *strictly* beat a known-achievable value, which typically
 // collapses the re-enumeration to a verification pass (measured >= 30%
@@ -27,10 +27,10 @@
 // larger of their widths is assigned, and a per-depth bitmask carries
 // the matches, summed in row order so every value is bitwise the
 // per-node test's. Pattern rows or more than 64 live rows fall back to
-// that per-node test. The exact-input memo below still keys on every
-// applied row, parked zero-multiplier rows included; dropping them from
-// the key would merge more searches and so change the DFS expansion
-// counts, and is left as a separate step.
+// that per-node test. The exact-input memo below keys only on rows with
+// a nonzero multiplier, for the same reason: a parked row changes neither
+// the search nor its result, so inputs that differ only in parked rows
+// share one memo entry.
 //
 // The cache is deliberately self-contained (patterns + predicates + match
 // bits); `release::ConfigLpSolver` owns one per solver instance.
@@ -80,7 +80,9 @@ class PricingCache {
   /// whole search is skipped. This is where *unchanged* subproblems
   /// (re-priced nodes after a warm re-solve converged to the same duals,
   /// and symmetric release waves whose phases present identical dual
-  /// slices within one pricing round) become lookups.
+  /// slices within one pricing round) become lookups. Applied rows with a
+  /// zero multiplier stay out of the key: the search ignores them, so
+  /// inputs that differ only in such rows share one entry.
   [[nodiscard]] std::optional<Seed> lookup(
       std::span<const double> value,
       std::span<const std::pair<int, double>> applied);
@@ -112,6 +114,9 @@ class PricingCache {
  private:
   struct Pattern {
     std::vector<int> counts;
+    /// (width index, count) of each nonzero count, ascending by index:
+    /// the probe's dot product runs over these only.
+    std::vector<std::pair<std::size_t, int>> terms;
     double total_width = 0.0;
     int total_items = 0;
     /// match[k]: does registered row k's predicate match this pattern?
@@ -129,6 +134,9 @@ class PricingCache {
 
   using MemoKey =
       std::pair<std::vector<double>, std::vector<std::pair<int, double>>>;
+  [[nodiscard]] static MemoKey memo_key(
+      std::span<const double> value,
+      std::span<const std::pair<int, double>> applied);
 
   std::vector<Pattern> patterns_;
   std::vector<Row> rows_;

@@ -13,16 +13,20 @@ int detect_width_grid(const ConfigLpProblem& problem) {
     return std::fabs(scaled - std::round(scaled)) <= 1e-7 &&
            std::round(scaled) >= 0.0;
   };
+  const auto& widths = problem.widths;
   for (int d = 1; d <= 4096; ++d) {
     if (!on_grid(problem.strip_width, d)) continue;
-    bool ok = true;
-    for (const double w : problem.widths) ok = ok && on_grid(w, d);
-    if (!ok) continue;
-    // Degenerate grids (a zero-unit width) would break the DP.
-    for (const double w : problem.widths) {
-      ok = ok && std::round(w * d) >= 1.0;
+    // all_of stops at the first off-grid width, so a table on no grid
+    // (jittered widths) costs about one test per denominator.
+    if (!std::all_of(widths.begin(), widths.end(),
+                     [&](double w) { return on_grid(w, d); })) {
+      continue;
     }
-    if (ok) return d;
+    // Degenerate grids (a zero-unit width) would break the DP.
+    if (std::all_of(widths.begin(), widths.end(),
+                    [d](double w) { return std::round(w * d) >= 1.0; })) {
+      return d;
+    }
   }
   return 0;
 }
@@ -158,6 +162,15 @@ Configuration best_config_for_phase(const ConfigLpProblem& problem,
     }
   }
   if (penalized_pattern) keep.assign(W, 1);
+  // next_useful[i]: the first level j >= i where a nonzero count is worth
+  // trying (W when none); the levels in between only ever take c = 0.
+  std::vector<std::size_t>& next_useful = scratch.next_useful;
+  next_useful.resize(W + 1);
+  next_useful[W] = W;
+  for (std::size_t i = W; i-- > 0;) {
+    next_useful[i] =
+        value[i] <= 0.0 && keep[i] == 0 ? next_useful[i + 1] : i;
+  }
 
   std::uint64_t always = 0;
   const bool incremental = build_decisions(W, scratch, &always);
@@ -219,8 +232,35 @@ Configuration best_config_for_phase(const ConfigLpProblem& problem,
         improved_on_seed = true;
       }
     }
-    if (index == W) return;
+    // Jump to the next level that can take an item. A level that cannot
+    // (no copy fits, or a non-positive value nothing keeps) only assigns
+    // c = 0, so its node repeats this node's state and incumbent test,
+    // and its bounds are no tighter than the target level's: skipping it
+    // prunes exactly what it would.
     const double cap_left = problem.strip_width - used;
+    const auto copies = [&](std::size_t i) {
+      return static_cast<int>(std::floor(cap_left / widths[i] + 1e-9));
+    };
+    index = next_useful[index];
+    if (index == W) return;
+    int max_here = copies(index);
+    if (max_here < 1) {
+      // Widths descend, so the fit test is monotone in the index: the
+      // first level after `index` that fits is a binary search away.
+      std::size_t lo = index + 1;
+      std::size_t hi = W;
+      while (lo < hi) {
+        const std::size_t mid = lo + (hi - lo) / 2;
+        if (copies(mid) >= 1) {
+          hi = mid;
+        } else {
+          lo = mid + 1;
+        }
+      }
+      index = next_useful[lo];
+      if (index == W) return;
+      max_here = copies(index);
+    }
     const double entry_bound =
         dp != nullptr
             ? dp->suffix[index][static_cast<std::size_t>(units_left)]
@@ -228,12 +268,7 @@ Configuration best_config_for_phase(const ConfigLpProblem& problem,
     if (current + entry_bound + bonus_cap <= best_value + 1e-12) {
       return;  // bound: cannot beat the incumbent
     }
-    const int max_here =
-        static_cast<int>(std::floor(cap_left / widths[index] + 1e-9));
     for (int c = max_here; c >= 0; --c) {
-      // Skip negative-value widths — unless a positive branching bonus
-      // needs them present.
-      if (c > 0 && value[index] <= 0.0 && keep[index] == 0) continue;
       // Per-count bound: updates need a strict 1e-12 improvement, so
       // skipping subtrees bounded by best_value + 1e-12 cannot change
       // the returned maximizer — and with a warm cache seed for

@@ -21,6 +21,17 @@
 // same order as testing every row at every node, so the result is
 // bitwise identical. Pattern rows and wider row sets fall back to that
 // per-node test over the live rows.
+//
+// The DFS never walks a level that can only assign zero copies. Widths
+// are distinct and descending, so once the remaining capacity cannot
+// hold one copy of a width it cannot hold any later one either; and a
+// width of non-positive value that no positive bonus needs is never
+// taken. Each node jumps straight to the next level that can take an
+// item (a binary search for the first width that fits, then a per-call
+// table of the next width worth taking) and returns when none is left.
+// The skipped nodes would only have repeated their parent's state,
+// incumbent test and (no tighter) bounds, so the search visits the same
+// configurations in the same order with far fewer expansions.
 #pragma once
 
 #include <span>
@@ -72,6 +83,8 @@ void fill_dp_bound(const ConfigLpProblem& problem, int denom,
 struct PricingDfsScratch {
   std::vector<double> suffix_density;
   std::vector<char> keep;
+  /// next_useful[i]: first level >= i that may take an item (W: none).
+  std::vector<std::size_t> next_useful;
   std::vector<int> counts;
   /// Rows with a nonzero multiplier; live[k] is bit k of the row mask.
   std::vector<AppliedBranchRow> live;
@@ -94,7 +107,20 @@ struct PricingDfsScratch {
 /// predicate needs are exempt from the "skip non-positive values" pruning
 /// so pair/pattern bonuses stay reachable. Returns the best configuration
 /// (empty when nothing beats zero) and its adjusted value through
-/// `best_value_out`. `rows` must already be filtered to `phase`.
+/// `best_value_out`. `rows` must already be filtered to `phase`, and
+/// `problem.widths` must be descending (as `make_problem` builds them).
+///
+/// Levels that can only take zero copies are skipped: those where no
+/// copy fits (`floor(cap_left / w + 1e-9) < 1`) and those of non-positive
+/// value outside the kept widths. The skip is exact. Such a level keeps
+/// the counts and the row mask of its parent, so its incumbent test
+/// repeats one that already ran and cannot strictly improve. Its entry
+/// and `c = 0` bounds are at least the next taken level's, because
+/// `suffix_density` and `DpBound::suffix` do not increase with the index,
+/// so anything they prune that level prunes on entry. The value, the
+/// maximizer and the order of incumbent updates are those of the
+/// level-by-level walk; only `dfs_expansions` (and, under the per-node
+/// row test, `row_tests`) fall.
 ///
 /// A PhaseTotal row exempts no width from that pruning, so the search is
 /// exact only while PhaseTotal multipliers are non-positive: a positive

@@ -7,9 +7,11 @@
 #include <cmath>
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bnp/node_tree.hpp"
+#include "bnp/pricing_cache.hpp"
 #include "bnp/solver.hpp"
 #include "core/validate.hpp"
 #include "gen/hard_integral.hpp"
@@ -291,6 +293,37 @@ TEST(Bnp, PricingCacheKeepsCertifiedQuantities) {
             0.7 * static_cast<double>(uncached_expansions));
 }
 
+TEST(Bnp, PricingCacheMemoIgnoresParkedRows) {
+  // A zero multiplier (either sign) changes no configuration's value, so
+  // inputs that differ only in parked rows must share one memo entry.
+  PricingCache cache;
+  release::BranchPredicate pair;
+  pair.kind = release::BranchPredicate::Kind::PairTogether;
+  pair.width_a = 0;
+  pair.width_b = 2;
+  cache.register_row(5, pair);
+  cache.register_row(7, pair);
+  const std::vector<double> value{0.4, 0.3, 0.2};
+  const int id = cache.insert(std::vector<int>{1, 0, 1}, 0.9);
+  using Rows = std::vector<std::pair<int, double>>;
+  // The probe sums only the pattern's nonzero counts, in index order.
+  const PricingCache::Seed seed = cache.probe(value, Rows{{7, 0.25}});
+  EXPECT_EQ(seed.pattern, id);
+  EXPECT_EQ(seed.value, 0.0 + 1 * 0.4 + 1 * 0.2 + 0.25);
+  cache.memoize(value, Rows{{5, 0.0}, {7, 0.25}}, seed);
+  for (const Rows& rows : {Rows{{7, 0.25}}, Rows{{5, -0.0}, {7, 0.25}},
+                           Rows{{5, 0.0}, {7, 0.25}}}) {
+    const auto hit = cache.lookup(value, rows);
+    ASSERT_TRUE(hit.has_value());
+    EXPECT_EQ(hit->pattern, id);
+    EXPECT_EQ(hit->value, seed.value);
+  }
+  EXPECT_EQ(cache.memo_hits(), 3);
+  // A live row is part of the input.
+  EXPECT_FALSE(cache.lookup(value, Rows{{5, 0.1}, {7, 0.25}}).has_value());
+  EXPECT_FALSE(cache.lookup(value, Rows{}).has_value());
+}
+
 TEST(Bnp, PseudoCostBranchingStaysExactOnGapFamilies) {
   // The gap families need genuine branching to close their LP/IP gap; the
   // pseudo-cost selector (strong-branching seeded) must still certify.
@@ -361,6 +394,28 @@ TEST(Bnp, JitteredGapFamiliesCertifyWithinANodeCeiling) {
       EXPECT_NEAR(result.dual_bound, result.height, kTol) << label;
       EXPECT_LE(result.incumbent_node, result.nodes_created) << label;
     }
+  }
+}
+
+// The wide jittered family (50 items in 25 width classes per wave) is
+// priced far more often than it branches. Once a phase configuration
+// holds two items no class fits the rest of the strip, and the pricing
+// DFS jumps over such levels instead of walking them, so each solve
+// stays far below the 12.9M expansions the level-by-level walk took.
+TEST(Bnp, WideJitteredFamilyCertifiesWithinAnExpansionCeiling) {
+  for (std::uint64_t seed = 1; seed <= 2; ++seed) {
+    const auto family = gen::hard_integral_jittered(12, 2, 14.0, seed);
+    const BnpResult result = solve(family.instance);
+    const std::string label = "seed=" + std::to_string(seed);
+    EXPECT_EQ(result.status, BnpStatus::Optimal) << label;
+    EXPECT_NEAR(result.height, 27.0, kTol) << label;
+    EXPECT_NEAR(family.certificate.ip_height, 27.0, kTol) << label;
+    EXPECT_NEAR(result.dual_bound, result.height, kTol) << label;
+    EXPECT_EQ(result.nodes, 117u) << label;
+    EXPECT_LE(result.pricing_dfs_expansions, 2'000'000) << label;
+    ::testing::Test::RecordProperty(
+        "expansions_seed" + std::to_string(seed),
+        std::to_string(result.pricing_dfs_expansions));
   }
 }
 
